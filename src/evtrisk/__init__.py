@@ -43,9 +43,9 @@ from .ingest import PriceSeries, ReturnSeries, load_prices, load_returns, to_ret
 from .mc import McDesign, McResult, run_experiment, simulate_dgp, true_risk
 from .risk import (
     RiskEstimate,
+    assemble,
     asymptotic_ci,
     es_eps,
-    es_eps_bc,
     estimate_at,
     mse_crossover,
     q_eps,
@@ -57,10 +57,7 @@ from .risk import (
     sigma3_b,
 )
 from .smoothing import (
-    EPANECHNIKOV,
-    Kernel,
     LocationScaleFit,
-    epanechnikov,
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,

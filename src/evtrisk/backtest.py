@@ -15,7 +15,7 @@ from scipy import stats
 from .errors import EstimationWarning, EvtriskError, InputError
 from .gpd import fit_tail
 from .ingest import ReturnSeries
-from .risk import es_eps, q_eps
+from .risk import assemble
 from .smoothing import fit_location_scale
 from .tail import choose_N, extract_tail
 
@@ -76,13 +76,11 @@ def _forecast_window(args):
         x = float(values[t])
         m_x = float(fit.m_hat(x))
         h_x = float(fit.h_hat(x))
-        if h_x <= 0:
-            raise EvtriskError(f"nonpositive variance estimate at query x={x:.6g}")
-        scale = math.sqrt(h_x)
         out = {}
         for a in a_levels:
-            out[a] = (m_x + scale * q_eps(a, tail), m_x + scale * es_eps(a, tail))
-        return t, out, scale, None
+            est = assemble(tail, a, x, m_x, h_x, bias_correction=False)
+            out[a] = (est.cvar, est.ces)
+        return t, out, math.sqrt(h_x), None
     except EvtriskError as exc:
         return t, None, math.nan, f"{type(exc).__name__}: {exc}"
 
@@ -188,17 +186,25 @@ def _weibull_profile_loglik(b: float, d: np.ndarray, cens: np.ndarray) -> float:
     )
 
 
+def _weibull_profile_score(b: float, d: np.ndarray, cens: np.ndarray) -> float:
+    """Derivative of the profiled log likelihood in the shape b.
+
+    n_f/b + sum_full log d - n_f sum d^b log d / sum d^b, where the d^b sums
+    run over the censored durations too.
+    """
+    full = ~cens
+    n_full = int(full.sum())
+    log_d = np.log(d)
+    db = d**b
+    ratio = float(np.sum(db * log_d)) / float(np.sum(db))
+    return n_full / b + float(np.sum(log_d[full])) - n_full * ratio
+
+
 def _maximize_weibull(d: np.ndarray, cens: np.ndarray):
     """Safeguarded 1-D Newton on the profiled shape, bisection fallback."""
     lo, hi = WEIBULL_B_RANGE
-
-    def dldb(b, step=1e-6):
-        return (
-            _weibull_profile_loglik(b + step, d, cens)
-            - _weibull_profile_loglik(b - step, d, cens)
-        ) / (2.0 * step)
-
-    g_lo, g_hi = dldb(lo), dldb(hi)
+    g_lo = _weibull_profile_score(lo, d, cens)
+    g_hi = _weibull_profile_score(hi, d, cens)
     if g_lo <= 0:
         b_star = lo
     elif g_hi >= 0:
@@ -208,7 +214,7 @@ def _maximize_weibull(d: np.ndarray, cens: np.ndarray):
         b_star = 0.5 * (a_ + b_)
         for _ in range(100):
             b_star = 0.5 * (a_ + b_)
-            g = dldb(b_star)
+            g = _weibull_profile_score(b_star, d, cens)
             if abs(g) < 1e-10 or (b_ - a_) < 1e-12:
                 break
             if g > 0:
@@ -287,6 +293,7 @@ def es_bootstrap_test(exceed_residuals, B_boot: int = 9999, seed: int = 0):
 class LevelReport:
     a: float
     violations: int
+    n_evaluated: int
     expected: float
     coverage_p: float
     t_ind_p: float | None
@@ -307,29 +314,34 @@ class BacktestReport:
 def run_backtest(
     series: ReturnSeries, cfg: BacktestConfig, threads: int = 1
 ) -> BacktestReport:
-    """Roll the estimator through the sample and run all three tests."""
+    """Roll the estimator through the sample and run all three tests.
+
+    The tests see only steps with a finite forecast: windows that fail
+    before any window has succeeded have nothing to carry forward.
+    """
     forecasts = rolling_forecast(series, cfg, threads=threads)
-    values = series.values
-    realized = values[forecasts.steps + 1]
     levels = {}
     for j, a in enumerate(cfg.a_levels):
-        q_fc = forecasts.cvar[a]
-        with np.errstate(invalid="ignore"):
-            viol = realized > q_fc
+        ok = np.isfinite(forecasts.cvar[a])
+        steps = forecasts.steps[ok]
+        realized = series.values[steps + 1]
+        viol = realized > forecasts.cvar[a][ok]
         w, p_cov = coverage_test(viol, a)
         p_ind, p_cc = duration_tests(viol, a)
-        residuals = (realized[viol] - forecasts.ces[a][viol]) / forecasts.sqrt_h[viol]
+        ces, sqrt_h = forecasts.ces[a][ok], forecasts.sqrt_h[ok]
+        residuals = (realized[viol] - ces[viol]) / sqrt_h[viol]
         residuals = residuals[np.isfinite(residuals)]
         es_p = es_bootstrap_test(residuals, cfg.B_boot, cfg.seed + j)
         levels[a] = LevelReport(
             a=a,
             violations=w,
+            n_evaluated=int(viol.size),
             expected=float(viol.size * (1.0 - a)),
             coverage_p=p_cov,
             t_ind_p=p_ind,
             t_cc_p=p_cc,
             es_p=es_p,
-            violation_steps=[int(t) for t in forecasts.steps[viol]],
+            violation_steps=[int(t) for t in steps[viol]],
         )
     return BacktestReport(
         config=cfg,

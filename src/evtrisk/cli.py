@@ -6,7 +6,6 @@ import argparse
 import csv
 import datetime
 import json
-import logging
 import math
 import os
 import sys
@@ -22,8 +21,6 @@ from .mc import McDesign, named_design, run_experiment
 from .risk import estimate_at
 from .smoothing import fit_location_scale
 from .tail import choose_N, extract_tail
-
-log = logging.getLogger("evtrisk")
 
 
 def _add_input_flags(parser):
@@ -44,8 +41,6 @@ def _add_common_flags(parser):
     parser.add_argument("--out", metavar="FILE", default=None)
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the generation timestamp from reports")
-    parser.add_argument("--log-level", default="warning",
-                        choices=["debug", "info", "warning", "error"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,6 +291,7 @@ def _cmd_backtest(args) -> int:
         "levels": {
             f"{a:g}": {
                 "violations": lv.violations,
+                "n_evaluated": lv.n_evaluated,
                 "expected": lv.expected,
                 "coverage_p": lv.coverage_p,
                 "t_ind_p": lv.t_ind_p,
@@ -329,7 +325,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    logging.basicConfig(level=args.log_level.upper())
     try:
         if args.command == "estimate":
             return _cmd_estimate(args)

@@ -416,8 +416,8 @@ class TailFit:
     likelihood shape (all shape estimators coincide asymptotically), but a
     usable finite-sample correction must plug in the same moment-scale shape
     that generated the M_n - 2 k_mom^2 statistic; with the likelihood shape
-    the k^4 factor in d collapses and the correction explodes.  k_corr
-    defaults to the moment shape, matching the reported simulations.
+    the k^4 factor in d collapses and the correction explodes.  fit_tail
+    sets k_corr to the moment shape, matching the reported simulations.
     """
 
     params: GpdParams
@@ -456,17 +456,12 @@ def fit_tail(
     rho: float | None = None,
     rho_c: float = 0.25,
     bias_correction: bool = True,
-    correction_shape: str = "moment",
 ) -> TailFit:
     """Run the full second stage on a tail sample: MLE, moment statistics,
     second-order parameter, and bias-corrected parameters.
 
-    correction_shape picks the shape plugged into the correction factors:
-    "moment" (default, matches the reported simulations) or "mle" (the
-    literal limit-theorem expression).
+    The correction factors are evaluated at the moment shape (see TailFit).
     """
-    if correction_shape not in ("moment", "mle"):
-        raise InputError(f"unknown correction shape {correction_shape!r}")
     params, loglik = gpd_mle(sample)
     k_mom, m_n = moment_stats(sample)
     if rho is None:
@@ -478,17 +473,16 @@ def fit_tail(
             h3=sample.h3,
             threshold_kind=sample.threshold_kind,
         )
-    k_corr = k_mom if correction_shape == "moment" else params.k
     fit = TailFit(
         params=params,
         params_bc=None,
         k_mom=k_mom,
         M_n=m_n,
         rho_hat=float(rho),
-        d_hat=d_hat(k_corr, rho),
+        d_hat=d_hat(k_mom, rho),
         sample=sample,
         loglik=loglik,
-        k_corr=k_corr,
+        k_corr=k_mom,
     )
     if bias_correction:
         fit.params_bc = bias_correct_params(fit)

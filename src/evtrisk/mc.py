@@ -14,7 +14,7 @@ from scipy import stats
 from .errors import ConvergenceError, EvtriskError, InputError
 from .gpd import fit_tail
 from .ingest import ReturnSeries
-from .risk import asymptotic_ci, es_bias_term, es_eps, estimate_at, q_eps, q_eps_bc
+from .risk import assemble, estimate_at
 from .smoothing import fit_location_scale
 from .tail import choose_N, extract_tail, extract_tail_empirical
 
@@ -202,24 +202,17 @@ def _replicate(design: McDesign, rep: int) -> dict:
     records[("k0", "oracle_bc", None)] = (o_fit.params_bc.k, design.k0, None)
 
     m_true = math.sin(0.5 * x_query)
-    scale_true = math.sqrt(path.h_next)
     for a in design.a_levels:
+        est = assemble(o_fit, a, x_query, m_true, path.h_next)
         q_true, e_true = true_risk(design, x_query, a, h_next=path.h_next)
-        q_u = q_eps(a, o_fit)
-        e_u = es_eps(a, o_fit)
-        q_b, _, z_hat = q_eps_bc(a, o_fit)
-        e_b = q_b / (1.0 + o_fit.params_bc.k)
-        cvar_u = m_true + scale_true * q_u
-        ces_u = m_true + scale_true * e_u
-        cvar_b = m_true + scale_true * q_b
-        ces_b = m_true + scale_true * (e_b + es_bias_term(o_fit, q_b, z_hat))
-        k_ci = o_fit.params_bc.k
-        ci_q = asymptotic_ci(cvar_b, "cvar", k_ci, o_fit.rho_hat, z_hat, o_sample.N)
-        ci_e = asymptotic_ci(ces_b, "ces", k_ci, o_fit.rho_hat, z_hat, o_sample.N)
-        records[("cvar", "oracle", a)] = (cvar_u, q_true, None)
-        records[("ces", "oracle", a)] = (ces_u, e_true, None)
-        records[("cvar", "oracle_bc", a)] = (cvar_b, q_true, ci_q[0] <= q_true <= ci_q[1])
-        records[("ces", "oracle_bc", a)] = (ces_b, e_true, ci_e[0] <= e_true <= ci_e[1])
+        records[("cvar", "oracle", a)] = (est.cvar, q_true, None)
+        records[("ces", "oracle", a)] = (est.ces, e_true, None)
+        records[("cvar", "oracle_bc", a)] = (
+            est.cvar_bc, q_true, est.ci_cvar[0] <= q_true <= est.ci_cvar[1],
+        )
+        records[("ces", "oracle_bc", a)] = (
+            est.ces_bc, e_true, est.ci_ces[0] <= e_true <= est.ci_ces[1],
+        )
     return records
 
 

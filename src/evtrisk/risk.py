@@ -12,10 +12,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import EstimationWarning, InputError, PoleError, TailError
-from .gpd import A_matrix, H_inv, TailFit, Vb_matrix, d_hat
+from .gpd import K_EXP_LIMIT, A_matrix, H_inv, TailFit, Vb_matrix, d_hat
 from .smoothing import LocationScaleFit
-
-K_EXP_LIMIT = 1e-8
 
 
 def _extrapolation(q_tilde, sigma, k, ratio):
@@ -83,17 +81,6 @@ def q_eps_bc(a: float, tail: TailFit, n: int | None = None, N: int | None = None
     # (N / (n(1-a)))^{-k_b} (1 + B_q)^{-k_b} = (ratio / (1 + B_q))^{k_b}
     value = _extrapolation(q_tilde, sigma_b, k_b, ratio / (1.0 + b_q))
     return float(value), float(b_q), float(z_hat)
-
-
-def es_eps_bc(a: float, tail: TailFit, n: int | None = None, N: int | None = None) -> float:
-    """Bias-corrected innovation expected shortfall q_bc(a) / (1 + k_bc)."""
-    k_b = tail.params_bc.k if tail.params_bc is not None else None
-    if k_b is None:
-        raise InputError("tail fit carries no bias-corrected parameters")
-    if k_b <= -1.0:
-        raise TailError("expected shortfall undefined (k <= -1)")
-    value, _, _ = q_eps_bc(a, tail, n, N)
-    return value / (1.0 + k_b)
 
 
 def es_bias_term(tail: TailFit, q_bc: float, z_hat: float) -> float:
@@ -350,15 +337,31 @@ def estimate_at(
     bias_correction: bool = True,
     ci_level: float = 0.95,
 ) -> RiskEstimate:
-    """Assemble conditional CVaR and CES at query x for one target level.
+    """Conditional CVaR and CES at query x from the fitted location and
+    scale; see assemble."""
+    return assemble(
+        tail, a, x, float(fit.m_hat(x)), float(fit.h_hat(x)),
+        bias_correction=bias_correction, ci_level=ci_level,
+    )
+
+
+def assemble(
+    tail: TailFit,
+    a: float,
+    x: float,
+    m_x: float,
+    h_x: float,
+    bias_correction: bool = True,
+    ci_level: float = 0.95,
+) -> RiskEstimate:
+    """Assemble conditional CVaR and CES at query x for one target level
+    from the location m_x and variance h_x at x.
 
     Uncorrected estimates are always produced; bias-corrected estimates,
     intervals, and variances are added unless disabled.  Variance
     expressions are evaluated at the corrected shape and the estimated
     second-order parameter, with Z_hat plugged in for the growth constant.
     """
-    m_x = float(fit.m_hat(x))
-    h_x = float(fit.h_hat(x))
     if h_x <= 0:
         raise TailError(f"nonpositive variance estimate at query x={x:.6g}")
     scale = math.sqrt(h_x)
@@ -374,9 +377,10 @@ def estimate_at(
         return out
 
     q_bc, b_q, z_hat = q_eps_bc(a, tail)
-    e_bc = q_bc / (1.0 + tail.params_bc.k)
-    if tail.params_bc.k <= -1.0:
+    k_b = tail.params_bc.k
+    if k_b <= -1.0:
         raise TailError("expected shortfall undefined (k <= -1)")
+    e_bc = q_bc / (1.0 + k_b)
     b_e = es_bias_term(tail, q_bc, z_hat)
     out.q_eps_bc, out.es_eps_bc = q_bc, e_bc
     out.B_q, out.B_E, out.Z_hat = b_q, b_e, z_hat
@@ -385,11 +389,10 @@ def estimate_at(
 
     # Interval variances at the corrected shape: the coverage probabilities
     # of the reported simulations are only reproduced at this plug-in.
-    k_eval, rho = tail.params_bc.k, tail.rho_hat
-    N = tail.sample.N
-    out.sigma1_b = sigma1_b(k_eval, rho, z_hat)
-    out.sigma2_b = sigma2_b(k_eval, rho, z_hat)
-    out.sigma3_b = sigma3_b(k_eval, rho, z_hat)
-    out.ci_cvar = asymptotic_ci(out.cvar_bc, "cvar", k_eval, rho, z_hat, N, ci_level)
-    out.ci_ces = asymptotic_ci(out.ces_bc, "ces", k_eval, rho, z_hat, N, ci_level)
+    rho, N = tail.rho_hat, tail.sample.N
+    out.sigma1_b = sigma1_b(k_b, rho, z_hat)
+    out.sigma2_b = sigma2_b(k_b, rho, z_hat)
+    out.sigma3_b = sigma3_b(k_b, rho, z_hat)
+    out.ci_cvar = asymptotic_ci(out.cvar_bc, "cvar", k_b, rho, z_hat, N, ci_level)
+    out.ci_ces = asymptotic_ci(out.ces_bc, "ces", k_b, rho, z_hat, N, ci_level)
     return out

@@ -1,5 +1,5 @@
-"""First-stage smoothing: kernels, rule-of-thumb bandwidths, local-linear
-regression, and standardized residual construction.
+"""First-stage smoothing: Epanechnikov weights, rule-of-thumb bandwidths,
+local-linear regression, and standardized residual construction.
 
 The location-scale model is Y = m(X) + h(X)^{1/2} eps with IID standardized
 innovations.  m is fit by local-linear regression of Y on X, h by a second
@@ -27,39 +27,16 @@ H_EPS = 1e-12
 
 
 def _epan_weight(u):
+    """Epanechnikov weight 0.75 (1 - u^2) on |u| <= 1, zero outside."""
     u = np.asarray(u, dtype=float)
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
 def _epan_integrated(u):
+    """Antiderivative of the Epanechnikov weight, rising from 0 at -1 to 1 at 1."""
     u = np.asarray(u, dtype=float)
     clipped = np.clip(u, -1.0, 1.0)
     return 0.75 * (clipped - clipped**3 / 3.0) + 0.5
-
-
-def epanechnikov(u):
-    """Second-order Epanechnikov weight and its antiderivative at u."""
-    weight = _epan_weight(u)
-    integ = _epan_integrated(u)
-    if np.isscalar(u):
-        return float(weight), float(integ)
-    return weight, integ
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Symmetric probability kernel with a closed-form antiderivative."""
-
-    weight: Callable[[np.ndarray], np.ndarray]
-    integrated: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-
-
-EPANECHNIKOV = Kernel(
-    weight=_epan_weight,
-    integrated=_epan_integrated,
-    support=(-1.0, 1.0),
-)
 
 
 def _nn_bandwidth(q, x, h):
@@ -78,7 +55,7 @@ def _nn_bandwidth(q, x, h):
     return max(h, 1.01 * radius)
 
 
-def _ll_batch_1d(queries, x, y, h, kernel, strict=True, chunk=512):
+def _ll_batch_1d(queries, x, y, h, strict=True, chunk=512):
     """Vectorized scalar-covariate local-linear fit at many query points.
 
     With strict=False, queries whose local design is degenerate at
@@ -92,7 +69,7 @@ def _ll_batch_1d(queries, x, y, h, kernel, strict=True, chunk=512):
     for start in range(0, queries.size, chunk):
         q = queries[start : start + chunk]
         xc = x[None, :] - q[:, None]
-        w = kernel.weight(xc / h)
+        w = _epan_weight(xc / h)
         npos = np.count_nonzero(w > 0.0, axis=1)
         s0 = w.sum(axis=1)
         s1 = (w * xc).sum(axis=1)
@@ -112,7 +89,7 @@ def _ll_batch_1d(queries, x, y, h, kernel, strict=True, chunk=512):
                 )
             for j in np.flatnonzero(bad):
                 hq = _nn_bandwidth(q[j], x, h)
-                lv, sl = _ll_batch_1d(q[j], x, y, hq, kernel, strict=True)
+                lv, sl = _ll_batch_1d(q[j], x, y, hq, strict=True)
                 idx = start + j
                 levels[idx], slopes[idx] = lv[0], sl[0]
         good = ~bad
@@ -122,36 +99,15 @@ def _ll_batch_1d(queries, x, y, h, kernel, strict=True, chunk=512):
     return levels, slopes
 
 
-def local_linear(query, data_x, data_y, h, kernel: Kernel = EPANECHNIKOV):
-    """Local-linear fit at one query point: returns (level, slope vector).
-
-    data_x may be (n,) for a scalar covariate or (n, d); the kernel is applied
-    as a product across dimensions.
-    """
+def local_linear(query, data_x, data_y, h):
+    """Local-linear fit at one scalar query point: returns (level, slope
+    vector of shape (1,))."""
     if h <= 0:
         raise InputError(f"bandwidth must be positive, got {h}")
     x = np.asarray(data_x, dtype=float)
     y = np.asarray(data_y, dtype=float)
-    if x.ndim == 1:
-        levels, slopes = _ll_batch_1d(float(query), x, y, h, kernel)
-        return float(levels[0]), np.array([slopes[0]])
-    n, d = x.shape
-    q = np.asarray(query, dtype=float).reshape(d)
-    xc = x - q[None, :]
-    w = np.prod(kernel.weight(xc / h), axis=1)
-    if np.count_nonzero(w > 0.0) < d + 2:
-        raise DegenerateFitError(
-            f"fewer than {d + 2} points carry kernel weight at query {q.tolist()}"
-        )
-    design = np.column_stack([np.ones(n), xc])
-    wd = design * w[:, None]
-    normal = design.T @ wd
-    rhs = wd.T @ y
-    scale = np.abs(np.diag(normal)).max()
-    if scale <= 0 or np.linalg.cond(normal) > 1e12:
-        raise DegenerateFitError(f"singular local design at query {q.tolist()}")
-    beta = np.linalg.solve(normal, rhs)
-    return float(beta[0]), beta[1:]
+    levels, slopes = _ll_batch_1d(float(query), x, y, h)
+    return float(levels[0]), np.array([slopes[0]])
 
 
 def rot_bandwidth_regression(x, y) -> float:
@@ -231,7 +187,6 @@ def fit_location_scale(
     lag: int = 1,
     h1: float | None = None,
     h2: float | None = None,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> LocationScaleFit:
     """Fit m and h on lagged values and build standardized residuals.
 
@@ -269,12 +224,12 @@ def fit_location_scale(
         h1 = rot_bandwidth_regression(x, y)
     # Non-strict evaluation: isolated covariates (routine under heavy-tailed
     # innovations) get a nearest-neighbor bandwidth floor instead of failing.
-    m_at_x, _ = _ll_batch_1d(x, x, y, h1, kernel, strict=False)
+    m_at_x, _ = _ll_batch_1d(x, x, y, h1, strict=False)
     u = y - m_at_x
     u2 = u * u
     if h2 is None:
         h2 = rot_bandwidth_regression(x, u2)
-    h_at_x, _ = _ll_batch_1d(x, x, u2, h2, kernel, strict=False)
+    h_at_x, _ = _ll_batch_1d(x, x, u2, h2, strict=False)
 
     positive = h_at_x > H_EPS
     if not np.any(positive) and np.any(u2 > H_EPS**2):
@@ -284,12 +239,12 @@ def fit_location_scale(
 
     def m_hat(q):
         scalar = np.isscalar(q)
-        levels, _ = _ll_batch_1d(q, x, y, h1, kernel, strict=False)
+        levels, _ = _ll_batch_1d(q, x, y, h1, strict=False)
         return float(levels[0]) if scalar else levels
 
     def h_hat(q):
         scalar = np.isscalar(q)
-        levels, _ = _ll_batch_1d(q, x, u2, h2, kernel, strict=False)
+        levels, _ = _ll_batch_1d(q, x, u2, h2, strict=False)
         return float(levels[0]) if scalar else levels
 
     return LocationScaleFit(

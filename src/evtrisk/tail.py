@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, TailError
-from .smoothing import EPANECHNIKOV, Kernel, LocationScaleFit, rot_bandwidth_density
+from .smoothing import LocationScaleFit, _epan_integrated, rot_bandwidth_density
 
 QUANTILE_TOL = 1e-10
 
@@ -22,39 +22,37 @@ def choose_N(n: int, c: float = 0.7) -> int:
     return min(max(raw, 10), n // 2)
 
 
-def smoothed_cdf(u, residuals, h3: float, kernel: Kernel = EPANECHNIKOV):
+def smoothed_cdf(u, residuals, h3: float):
     """Kernel-smoothed empirical CDF of the residuals evaluated at u."""
     if h3 <= 0:
         raise InputError("CDF bandwidth must be positive")
     residuals = np.asarray(residuals, dtype=float)
     if np.isscalar(u):
-        return float(np.mean(kernel.integrated((u - residuals) / h3)))
+        return float(np.mean(_epan_integrated((u - residuals) / h3)))
     u = np.asarray(u, dtype=float)
-    return np.mean(kernel.integrated((u[..., None] - residuals) / h3), axis=-1)
+    return np.mean(_epan_integrated((u[..., None] - residuals) / h3), axis=-1)
 
 
-def smoothed_quantile(
-    a: float, residuals, h3: float, kernel: Kernel = EPANECHNIKOV
-) -> float:
+def smoothed_quantile(a: float, residuals, h3: float) -> float:
     """Invert the smoothed CDF by bisection to |F(q) - a| <= 1e-10."""
     if not 0.0 < a < 1.0:
         raise InputError(f"quantile level must be in (0,1), got {a}")
     residuals = np.asarray(residuals, dtype=float)
     lo = float(residuals.min()) - 10.0 * h3
     hi = float(residuals.max()) + 10.0 * h3
-    if smoothed_cdf(lo, residuals, h3, kernel) > a or smoothed_cdf(hi, residuals, h3, kernel) < a:
+    if smoothed_cdf(lo, residuals, h3) > a or smoothed_cdf(hi, residuals, h3) < a:
         raise TailError(f"no bracket for smoothed quantile at level {a}")
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = smoothed_cdf(mid, residuals, h3, kernel)
+        val = smoothed_cdf(mid, residuals, h3)
         if abs(val - a) <= QUANTILE_TOL:
             return mid
         if val < a:
             lo = mid
         else:
             hi = mid
-    if abs(smoothed_cdf(mid, residuals, h3, kernel) - a) > 1e-8:
+    if abs(smoothed_cdf(mid, residuals, h3) - a) > 1e-8:
         raise TailError(f"smoothed quantile did not converge at level {a}")
     return mid
 

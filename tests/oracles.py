@@ -2,7 +2,11 @@
 suites.  Everything here is written against the closed forms directly,
 without reusing the package's own composition paths."""
 
+import math
+
 import numpy as np
+
+from evtrisk.risk import asymptotic_ci, es_bias_term, es_eps, q_eps, q_eps_bc
 
 
 def gpd_loglik_grid(z, sigma_grid, k_grid):
@@ -214,3 +218,29 @@ def crossover_oracle(k, rho, z):
     )
     c2 = np.sqrt(sigma3_b_oracle(k, rho, z) - sigma2_oracle(k, z)) / (-k * abs(mu2))
     return c1, c2
+
+
+def assembly_oracle(tail, a, m, h, bias_correction=True):
+    """Second transcription of the conditional CVaR/CES assembly at location
+    m and variance h: the innovation estimators are recombined by hand, with
+    ratio-form 95% intervals at the corrected shape."""
+    scale = math.sqrt(h)
+    out = {
+        "cvar": m + scale * q_eps(a, tail),
+        "ces": m + scale * es_eps(a, tail),
+    }
+    if not bias_correction:
+        return out
+    q_b, _, z_hat = q_eps_bc(a, tail)
+    e_b = q_b / (1.0 + tail.params_bc.k)
+    out["cvar_bc"] = m + scale * q_b
+    out["ces_bc"] = m + scale * (e_b + es_bias_term(tail, q_b, z_hat))
+    out["es_eps_bc"] = e_b
+    k_ci = tail.params_bc.k
+    out["ci_cvar"] = asymptotic_ci(
+        out["cvar_bc"], "cvar", k_ci, tail.rho_hat, z_hat, tail.sample.N
+    )
+    out["ci_ces"] = asymptotic_ci(
+        out["ces_bc"], "ces", k_ci, tail.rho_hat, z_hat, tail.sample.N
+    )
+    return out

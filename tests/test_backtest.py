@@ -9,6 +9,8 @@ from evtrisk.backtest import (
     BacktestConfig,
     _durations,
     _weibull_loglik,
+    _weibull_profile_loglik,
+    _weibull_profile_score,
     coverage_test,
     duration_tests,
     es_bootstrap_test,
@@ -97,6 +99,25 @@ def test_duration_lr_matches_grid_oracle():
     p_oracle = stats.chi2.sf(t_ind_oracle, 1)
     p_ind, _ = duration_tests(viol, 0.95)
     assert p_ind == pytest.approx(p_oracle, abs=1e-3)
+
+
+def test_weibull_profile_score_matches_central_difference():
+    # The central difference of the profiled log likelihood is the
+    # reference for the closed-form score.
+    rng = np.random.default_rng(12)
+    fixtures = [_durations(rng.random(400) < p) for p in (0.02, 0.05, 0.2)]
+    fixtures.append((np.array([3.0, 7.0, 1.0, 12.0, 5.0]),
+                     np.array([True, False, False, False, True])))
+    step = 1e-6
+    for d, cens in fixtures:
+        assert cens.any()
+        for b in (0.05, 0.3, 0.9, 1.0, 2.5, 7.0):
+            numeric = (
+                _weibull_profile_loglik(b + step, d, cens)
+                - _weibull_profile_loglik(b - step, d, cens)
+            ) / (2.0 * step)
+            closed = _weibull_profile_score(b, d, cens)
+            assert closed == pytest.approx(numeric, rel=1e-6, abs=1e-5)
 
 
 def test_duration_size_iid_bernoulli():
@@ -198,3 +219,25 @@ def test_rolling_constant_series_fails():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rolling_forecast(series, cfg)
+
+
+def test_backtest_tests_skip_steps_without_forecast():
+    # Windows over the leading zeros fail before any window has succeeded,
+    # so their forecasts stay NaN and must not count as non-violations.
+    rng = np.random.default_rng(0)
+    values = np.concatenate([np.zeros(300), 5.0 * rng.standard_t(3, size=200)])
+    cfg = BacktestConfig(m=500, n=250, a_levels=(0.95,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_backtest(ReturnSeries(values, kind="raw"), cfg, threads=2)
+    cvar = report.forecasts.cvar[0.95]
+    forecast = np.isfinite(cvar)
+    assert int((~forecast).sum()) == 170
+    level = report.levels[0.95]
+    assert level.n_evaluated == 80
+    assert level.expected == pytest.approx(80 * 0.05)
+    steps = report.forecasts.steps[forecast]
+    viol = values[steps + 1] > cvar[forecast]
+    assert level.violations == int(viol.sum())
+    assert level.coverage_p == pytest.approx(coverage_test(viol, 0.95)[1])
+    assert (level.t_ind_p, level.t_cc_p) == duration_tests(viol, 0.95)

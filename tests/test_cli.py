@@ -145,6 +145,7 @@ def test_backtest_cli_smoke_and_determinism(tmp_path):
     assert report["n_forecasts"] == 100
     level = report["levels"]["0.95"]
     assert 0 <= level["violations"] <= 100
+    assert level["n_evaluated"] == 100
     assert level["coverage_p"] is not None
     lines = forecasts[0].decode().splitlines()
     assert lines[0] == "date,return,cvar,ces"

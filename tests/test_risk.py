@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assembly_oracle,
     b_e_oracle,
     crossover_oracle,
     q_bc_oracle,
@@ -20,10 +21,10 @@ from evtrisk.errors import InputError, TailError
 from evtrisk.gpd import GpdParams, TailFit, d_hat, fit_tail, gpd_quantile
 from evtrisk.ingest import ReturnSeries
 from evtrisk.risk import (
+    assemble,
     asymptotic_ci,
     es_bias_term,
     es_eps,
-    es_eps_bc,
     estimate_at,
     mse_crossover,
     q_eps,
@@ -187,9 +188,12 @@ def test_es_eps_bc_division_and_consistency():
                        k_mom=-0.25, m_n=2 * 0.25**2)
     a = 0.995
     q_b, _, _ = q_eps_bc(a, fit)
-    assert es_eps_bc(a, fit) == pytest.approx(q_b / (1 - 1 / 6))
-    fit.params_bc = GpdParams(0.5, 0.0)
-    assert es_eps_bc(a, fit) == pytest.approx(q_eps_bc(a, fit)[0])
+    est = assemble(fit, a, x=0.0, m_x=0.0, h_x=1.0)
+    assert est.es_eps_bc == pytest.approx(q_b / (1 - 1 / 6))
+    assert est.es_eps_bc == pytest.approx(est.q_eps_bc / (1 - 1 / 6))
+    fit.params_bc = GpdParams(0.5, -1.0)
+    with pytest.raises(TailError, match="undefined"):
+        assemble(fit, a, x=0.0, m_x=0.0, h_x=1.0)
 
 
 def test_es_bias_term_transcription():
@@ -339,6 +343,42 @@ def test_estimate_at_affine_assembly():
     est = estimate_at(fit, tail, a=0.995, x=0.0, bias_correction=False)
     assert est.cvar == pytest.approx(0.1 + 2.0 * est.q_eps)
     assert est.ces == pytest.approx(0.1 + 2.0 * est.es_eps)
+
+
+ASSEMBLY_GRID = [
+    dict(sigma=0.5, k=-0.25, sigma_b=0.48, k_b=-0.28, k_mom=-0.3,
+         m_n=2 * 0.09 + 0.002),
+    dict(sigma=0.5, k=-0.25, sigma_b=0.5, k_b=-1 / 6, k_mom=-0.25,
+         m_n=2 * 0.25**2),
+    dict(sigma=0.5, k=-0.25, sigma_b=0.45, k_b=-0.3, k_mom=-0.28,
+         m_n=2 * 0.28**2 + 0.004, rho=-1.0),
+    dict(sigma=0.8, k=-0.1, sigma_b=0.75, k_b=-0.15, k_mom=-0.12,
+         m_n=2 * 0.12**2 - 0.001, rho=-3.0, N=50),
+]
+
+
+@pytest.mark.parametrize("params", ASSEMBLY_GRID)
+@pytest.mark.parametrize("bias_correction", [True, False])
+def test_assemble_matches_oracle(params, bias_correction):
+    tail = tail_fixture(**params)
+    for a in (0.95, 0.99, 0.999):
+        for m, h in ((0.0, 1.0), (0.3, 2.5), (-1.2, 0.04)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = assemble(tail, a, 0.7, m, h, bias_correction=bias_correction)
+                want = assembly_oracle(tail, a, m, h, bias_correction)
+            assert est.cvar == pytest.approx(want["cvar"], rel=1e-12)
+            assert est.ces == pytest.approx(want["ces"], rel=1e-12)
+            if not bias_correction:
+                assert est.cvar_bc is None and est.ci_cvar is None
+                continue
+            assert est.cvar_bc == pytest.approx(want["cvar_bc"], rel=1e-12)
+            assert est.ces_bc == pytest.approx(want["ces_bc"], rel=1e-12)
+            assert est.es_eps_bc == pytest.approx(want["es_eps_bc"], rel=1e-12)
+            for got, expect in ((est.ci_cvar, want["ci_cvar"]),
+                                (est.ci_ces, want["ci_ces"])):
+                assert got[0] == pytest.approx(expect[0], rel=1e-12)
+                assert got[1] == pytest.approx(expect[1], rel=1e-12)
 
 
 def test_estimate_at_nonpositive_variance():

@@ -8,7 +8,8 @@ from evtrisk.errors import DegenerateFitError, EstimationWarning, InputError
 from evtrisk.ingest import ReturnSeries
 from evtrisk.smoothing import (
     ROT_KERNEL_CONST,
-    epanechnikov,
+    _epan_integrated,
+    _epan_weight,
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,
@@ -20,36 +21,32 @@ from evtrisk.smoothing import (
 
 
 def test_epanechnikov_center():
-    w, integ = epanechnikov(0.0)
-    assert w == pytest.approx(0.75)
-    assert integ == pytest.approx(0.5)
+    assert _epan_weight(0.0) == pytest.approx(0.75)
+    assert _epan_integrated(0.0) == pytest.approx(0.5)
 
 
 def test_epanechnikov_endpoint():
-    w, integ = epanechnikov(1.0)
-    assert w == pytest.approx(0.0)
-    assert integ == pytest.approx(1.0)
+    assert _epan_weight(1.0) == pytest.approx(0.0)
+    assert _epan_integrated(1.0) == pytest.approx(1.0)
 
 
 def test_epanechnikov_half():
     # closed-form antiderivative 0.75(u - u^3/3) + 0.5
-    w, integ = epanechnikov(0.5)
-    assert w == pytest.approx(0.5625)
-    assert integ == pytest.approx(0.84375)
+    assert _epan_weight(0.5) == pytest.approx(0.5625)
+    assert _epan_integrated(0.5) == pytest.approx(0.84375)
 
 
 def test_kernel_integrates_to_one():
-    total, _ = quad(lambda u: epanechnikov(u)[0], -1, 1)
+    total, _ = quad(lambda u: float(_epan_weight(u)), -1, 1)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 @given(st.floats(min_value=-3, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_kernel_symmetry_and_cdf(u):
-    w_pos, i_pos = epanechnikov(u)
-    w_neg, i_neg = epanechnikov(-u)
-    assert w_pos == pytest.approx(w_neg, abs=1e-12)
-    assert i_pos == pytest.approx(1.0 - i_neg, abs=1e-12)
+    assert _epan_weight(u) == pytest.approx(_epan_weight(-u), abs=1e-12)
+    i_pos = float(_epan_integrated(u))
+    assert i_pos == pytest.approx(1.0 - _epan_integrated(-u), abs=1e-12)
     assert 0.0 <= i_pos <= 1.0
 
 
@@ -136,15 +133,6 @@ def test_local_linear_isolated_query_errors():
     y = np.zeros(11)
     with pytest.raises(DegenerateFitError, match="10"):
         local_linear(10.0, x, y, h=0.5)
-
-
-def test_local_linear_product_kernel_2d():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(40, 2))
-    y = 1.0 - 2.0 * x[:, 0] + 0.5 * x[:, 1]
-    level, slope = local_linear(np.array([0.2, -0.1]), x, y, h=1.5)
-    assert level == pytest.approx(1.0 - 0.4 - 0.05, abs=1e-8)
-    np.testing.assert_allclose(slope, [-2.0, 0.5], atol=1e-8)
 
 
 # ---------------------------------------------------------------- bandwidths
