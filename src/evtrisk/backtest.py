@@ -103,7 +103,6 @@ def rolling_forecast(
             raw = list(pool.map(_forecast_window, jobs, chunksize=8))
     else:
         raw = [_forecast_window(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
 
     cvar = {a: np.full(steps.size, np.nan) for a in cfg.a_levels}
     ces = {a: np.full(steps.size, np.nan) for a in cfg.a_levels}
@@ -201,7 +200,8 @@ def _weibull_profile_score(b: float, d: np.ndarray, cens: np.ndarray) -> float:
 
 
 def _maximize_weibull(d: np.ndarray, cens: np.ndarray):
-    """Safeguarded 1-D Newton on the profiled shape, bisection fallback."""
+    """Maximize the profiled log likelihood over the shape in
+    WEIBULL_B_RANGE by bisection on its score; returns (shape, log lik)."""
     lo, hi = WEIBULL_B_RANGE
     g_lo = _weibull_profile_score(lo, d, cens)
     g_hi = _weibull_profile_score(hi, d, cens)
@@ -221,10 +221,7 @@ def _maximize_weibull(d: np.ndarray, cens: np.ndarray):
                 a_ = b_star
             else:
                 b_ = b_star
-    ll = _weibull_profile_loglik(b_star, d, cens)
-    n_full = int((~cens).sum())
-    a_star = (n_full / float(np.sum(d**b_star))) ** (1.0 / b_star)
-    return a_star, b_star, ll
+    return b_star, _weibull_profile_loglik(b_star, d, cens)
 
 
 def duration_tests(violations, a: float):
@@ -247,7 +244,7 @@ def duration_tests(violations, a: float):
         lam = n_full / total
         ll_exp = _weibull_loglik(lam, 1.0, d, cens)
         ll_cc = _weibull_loglik(1.0 - a, 1.0, d, cens)
-        _, _, ll_weib = _maximize_weibull(d, cens)
+        _, ll_weib = _maximize_weibull(d, cens)
         if not np.isfinite(ll_weib):
             return None, None
         t_ind = max(2.0 * (ll_weib - ll_exp), 0.0)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, EstimationWarning, InputError, PoleError, TailError
-from .tail import TailSample, empirical_quantile, smoothed_quantile
+from .tail import TailSample, rethreshold
+# Kept importable: perfbench/spans.py patches evtrisk.gpd.smoothed_quantile by name.
+from .tail import smoothed_quantile  # noqa: F401
 
 K_DOMAIN = 0.9          # solver keeps k in (-K_DOMAIN, K_DOMAIN)
 K_EXP_LIMIT = 1e-8      # below this |k| the exponential limit is used
@@ -35,10 +37,6 @@ class GpdParams:
             raise InputError(f"GPD scale must be positive, got {self.sigma}")
         if not np.isfinite(self.k):
             raise InputError("GPD shape must be finite")
-
-    @property
-    def support_upper(self) -> float:
-        return self.sigma / self.k if self.k > K_EXP_LIMIT else math.inf
 
 
 def gpd_logpdf(z, params: GpdParams):
@@ -213,66 +211,50 @@ def gpd_mle(tail: TailSample, max_iter: int = 200, grad_tol: float = 1e-9):
     return GpdParams(math.exp(theta[0]), float(theta[1])), ll
 
 
+def _log_moments(values, q: float):
+    """(-mean log(v/q), mean log(v/q)^2) over the tail values v above the
+    threshold q."""
+    if q <= 0:
+        raise TailError("moment statistics undefined for nonpositive threshold")
+    if np.any(values <= 0):
+        raise TailError("moment statistics undefined for nonpositive tail values")
+    logs = np.log(values / q)
+    return float(-logs.mean()), float(np.mean(logs * logs))
+
+
 def moment_stats(tail: TailSample):
     """Tail log-moment statistics (k_mom, M_n) over the threshold.
 
     k_mom is minus the mean log ratio of the tail order statistics to the
     threshold; M_n is the mean squared log ratio.
     """
-    if tail.q_tilde <= 0:
-        raise TailError("moment statistics undefined for nonpositive threshold")
-    order_stats = tail.exceedances + tail.q_tilde
-    if np.any(order_stats <= 0):
-        raise TailError("moment statistics undefined for nonpositive tail values")
-    logs = np.log(order_stats / tail.q_tilde)
-    return float(-logs.mean()), float(np.mean(logs * logs))
+    return _log_moments(tail.exceedances + tail.q_tilde, tail.q_tilde)
 
 
-def _moment_stats_at_count(residuals_sorted, count, n, h3, threshold_kind):
-    a_level = 1.0 - count / n
-    if threshold_kind == "empirical":
-        q = empirical_quantile(residuals_sorted, a_level)
-    else:
-        q = smoothed_quantile(a_level, residuals_sorted, h3)
-    if q <= 0:
-        raise TailError(f"threshold at enlarged tail count {count} is nonpositive")
-    above = residuals_sorted[residuals_sorted > q]
-    if above.size == 0:
-        raise TailError(f"no exceedances at enlarged tail count {count}")
-    logs = np.log(above / q)
-    return float(-logs.mean()), float(np.mean(logs * logs))
-
-
-def rho_hat(
-    residuals,
-    N: int,
-    n: int | None = None,
-    c: float = 0.25,
-    h3: float | None = None,
-    threshold_kind: str = "smoothed",
-) -> float:
-    """Second-order parameter estimate from moment statistics at two
-    enlarged tail counts N(c) = round(c N log n), clamped to [-20, -0.05].
+def rho_hat(sample: TailSample, c: float = 0.25) -> float:
+    """Second-order parameter estimate from the log-moment statistics of the
+    sample's residuals at two enlarged tail counts N(c) = round(c N log n)
+    and N(c/2), each thresholded by the sample's own rule (see
+    tail.rethreshold); clamped to [-20, -0.05].
 
     Falls back to -2 (the heavy-tail anchor) when the log argument is
     nonpositive; both fallback and clamping are reported as warnings.
     """
-    residuals = np.asarray(residuals, dtype=float)
-    srt = np.sort(residuals)
-    if n is None:
-        n = residuals.size
-    if threshold_kind == "smoothed" and h3 is None:
-        raise InputError("smoothed thresholds need the CDF bandwidth h3")
-    counts = {}
+    n = sample.n
+    counts = []
     for label, cc in (("c", c), ("c/2", c / 2.0)):
-        count = int(math.floor(cc * N * math.log(n) + 0.5))
+        count = int(math.floor(cc * sample.N * math.log(n) + 0.5))
         if count >= n:
             raise InputError(
                 f"enlarged tail count N({label})={count} reaches the sample size; use a smaller c"
             )
-        counts[label] = max(count, 10)
-    k_c, m_c = _moment_stats_at_count(srt, counts["c"], n, h3, threshold_kind)
-    k_h, m_h = _moment_stats_at_count(srt, counts["c/2"], n, h3, threshold_kind)
+        counts.append(max(count, 10))
+    moments = []
+    for count in counts:
+        wide = rethreshold(sample, count)
+        # The N_s largest residuals themselves: exceedances + q_tilde rounds.
+        moments.append(_log_moments(wide.residuals_sorted[-wide.N_s:], wide.q_tilde))
+    (k_c, m_c), (k_h, m_h) = moments
 
     num = m_h - 2.0 * k_h * k_h
     den = m_c - 2.0 * k_c * k_c
@@ -409,7 +391,11 @@ def d_hat(k: float, rho: float) -> float:
 
 @dataclass
 class TailFit:
-    """GPD fit plus the moment statistics and bias-corrected parameters.
+    """GPD fit plus the second-order statistics and bias-corrected
+    parameters.
+
+    The second-order fields (k_mom, M_n, rho_hat, d_hat, k_corr) feed only
+    the bias corrections; without them they and params_bc are None.
 
     k_corr is the shape at which every second-order correction factor is
     evaluated.  The limit statements write these factors at the maximum
@@ -422,13 +408,13 @@ class TailFit:
 
     params: GpdParams
     params_bc: GpdParams | None
-    k_mom: float
-    M_n: float
-    rho_hat: float
-    d_hat: float
+    k_mom: float | None
+    M_n: float | None
+    rho_hat: float | None
+    d_hat: float | None
     sample: TailSample
     loglik: float
-    k_corr: float = 0.0
+    k_corr: float | None = 0.0
 
 
 def bias_correct_params(fit: TailFit) -> GpdParams:
@@ -457,33 +443,30 @@ def fit_tail(
     rho_c: float = 0.25,
     bias_correction: bool = True,
 ) -> TailFit:
-    """Run the full second stage on a tail sample: MLE, moment statistics,
-    second-order parameter, and bias-corrected parameters.
+    """Run the second stage on a tail sample: the GPD MLE and, with
+    bias_correction, the moment statistics, second-order parameter (rho, or
+    rho_hat at rho_c when None), and bias-corrected parameters.
 
     The correction factors are evaluated at the moment shape (see TailFit).
     """
     params, loglik = gpd_mle(sample)
-    k_mom, m_n = moment_stats(sample)
-    if rho is None:
-        rho = rho_hat(
-            sample.residuals_sorted,
-            sample.N,
-            sample.n,
-            c=rho_c,
-            h3=sample.h3,
-            threshold_kind=sample.threshold_kind,
-        )
     fit = TailFit(
         params=params,
         params_bc=None,
-        k_mom=k_mom,
-        M_n=m_n,
-        rho_hat=float(rho),
-        d_hat=d_hat(k_mom, rho),
+        k_mom=None,
+        M_n=None,
+        rho_hat=None,
+        d_hat=None,
         sample=sample,
         loglik=loglik,
-        k_corr=k_mom,
+        k_corr=None,
     )
-    if bias_correction:
-        fit.params_bc = bias_correct_params(fit)
+    if not bias_correction:
+        return fit
+    k_mom, m_n = moment_stats(sample)
+    if rho is None:
+        rho = rho_hat(sample, c=rho_c)
+    fit.k_mom, fit.M_n, fit.k_corr = k_mom, m_n, k_mom
+    fit.rho_hat, fit.d_hat = float(rho), d_hat(k_mom, rho)
+    fit.params_bc = bias_correct_params(fit)
     return fit

@@ -276,7 +276,6 @@ def run_experiment(design: McDesign, threads: int = 1) -> McResult:
             raw = list(pool.map(_replicate_star, jobs, chunksize=4))
     else:
         raw = [_replicate_star(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
 
     failures = [(rep, msg) for rep, _, msg in raw if msg is not None]
     successes = [(rep, rec) for rep, rec, msg in raw if msg is None]

@@ -23,9 +23,8 @@ def _extrapolation(q_tilde, sigma, k, ratio):
     return q_tilde + sigma / k * (1.0 - ratio**k)
 
 
-def _tail_ratio(a, tail: TailFit, n, N):
-    n = tail.sample.n if n is None else n
-    N = tail.sample.N if N is None else N
+def _tail_ratio(a, tail: TailFit):
+    n, N = tail.sample.n, tail.sample.N
     if not a < 1.0:
         raise InputError(f"target level must be below 1, got {a}")
     a_n = 1.0 - N / n
@@ -36,22 +35,22 @@ def _tail_ratio(a, tail: TailFit, n, N):
     return (n / N) * (1.0 - a)
 
 
-def q_eps(a: float, tail: TailFit, n: int | None = None, N: int | None = None) -> float:
+def q_eps(a: float, tail: TailFit) -> float:
     """Tail quantile of the innovation by GPD extrapolation above the
     threshold quantile."""
-    ratio = _tail_ratio(a, tail, n, N)
+    ratio = _tail_ratio(a, tail)
     return _extrapolation(tail.sample.q_tilde, tail.params.sigma, tail.params.k, ratio)
 
 
-def es_eps(a: float, tail: TailFit, n: int | None = None, N: int | None = None) -> float:
+def es_eps(a: float, tail: TailFit) -> float:
     """Innovation expected shortfall q(a) / (1 + k)."""
     k = tail.params.k
     if k <= -1.0:
         raise TailError("expected shortfall undefined (k <= -1)")
-    return q_eps(a, tail, n, N) / (1.0 + k)
+    return q_eps(a, tail) / (1.0 + k)
 
 
-def q_eps_bc(a: float, tail: TailFit, n: int | None = None, N: int | None = None):
+def q_eps_bc(a: float, tail: TailFit):
     """Bias-corrected tail quantile.
 
     Returns (value, B_q, Z_hat) where B_q is the extrapolation bias term and
@@ -60,7 +59,7 @@ def q_eps_bc(a: float, tail: TailFit, n: int | None = None, N: int | None = None
     if tail.params_bc is None:
         raise InputError("tail fit carries no bias-corrected parameters")
     q_tilde = tail.sample.q_tilde
-    q_hat = q_eps(a, tail, n, N)
+    q_hat = q_eps(a, tail)
     z_hat = q_hat / q_tilde
     rho = tail.rho_hat
     dev = tail.M_n - 2.0 * tail.k_mom**2
@@ -76,7 +75,7 @@ def q_eps_bc(a: float, tail: TailFit, n: int | None = None, N: int | None = None
         b_q = (z_hat**rho - 1.0) / (rho * d) * dev
     if 1.0 + b_q <= 0.0:
         raise TailError("bias correction out of range; rerun with --no-bias-correction")
-    ratio = _tail_ratio(a, tail, n, N)
+    ratio = _tail_ratio(a, tail)
     sigma_b, k_b = tail.params_bc.sigma, tail.params_bc.k
     # (N / (n(1-a)))^{-k_b} (1 + B_q)^{-k_b} = (ratio / (1 + B_q))^{k_b}
     value = _extrapolation(q_tilde, sigma_b, k_b, ratio / (1.0 + b_q))

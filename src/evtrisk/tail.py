@@ -37,6 +37,8 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
     """Invert the smoothed CDF by bisection to |F(q) - a| <= 1e-10."""
     if not 0.0 < a < 1.0:
         raise InputError(f"quantile level must be in (0,1), got {a}")
+    if h3 is None or h3 <= 0:
+        raise InputError("CDF bandwidth must be positive")
     residuals = np.asarray(residuals, dtype=float)
     lo = float(residuals.min()) - 10.0 * h3
     hi = float(residuals.max()) + 10.0 * h3
@@ -61,9 +63,10 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
 class TailSample:
     """Residual tail above a threshold quantile, ready for GPD fitting.
 
-    threshold_kind records how the threshold was obtained ("smoothed" kernel
-    CDF inversion, or "empirical" order statistic); h3 is the CDF bandwidth
-    where applicable.
+    threshold_kind records the threshold rule ("smoothed" kernel CDF
+    inversion at bandwidth h3, or "empirical" order statistic); rethreshold
+    applies the same rule at another tail count.  h3 is None for empirical
+    thresholds.
     """
 
     residuals_sorted: np.ndarray
@@ -77,33 +80,6 @@ class TailSample:
     threshold_kind: str = "smoothed"
 
 
-def _build_sample(residuals_sorted, N, q_tilde, h3, kind) -> TailSample:
-    n = residuals_sorted.size
-    above = residuals_sorted[residuals_sorted > q_tilde]
-    if above.size == 0:
-        raise TailError("no exceedances above smoothed threshold")
-    return TailSample(
-        residuals_sorted=residuals_sorted,
-        n=n,
-        N=N,
-        a_N=1.0 - N / n,
-        q_tilde=float(q_tilde),
-        N_s=int(above.size),
-        exceedances=above - q_tilde,
-        h3=h3,
-        threshold_kind=kind,
-    )
-
-
-def extract_tail_smoothed(residuals, N: int, h3: float) -> TailSample:
-    residuals = np.asarray(residuals, dtype=float)
-    n = residuals.size
-    if not 0 < N < n:
-        raise InputError(f"tail count N={N} must satisfy 0 < N < n={n}")
-    q_tilde = smoothed_quantile(1.0 - N / n, residuals, h3)
-    return _build_sample(np.sort(residuals), N, q_tilde, h3, "smoothed")
-
-
 def empirical_quantile(values_sorted, a: float) -> float:
     """Order-statistic quantile: x_(na) if na is an integer, else x_([na]+1)."""
     n = values_sorted.size
@@ -113,15 +89,45 @@ def empirical_quantile(values_sorted, a: float) -> float:
     return float(values_sorted[idx - 1])
 
 
-def extract_tail_empirical(residuals, N: int) -> TailSample:
-    """Exceedances over the empirical a_N-quantile (comparator construction)."""
-    residuals = np.asarray(residuals, dtype=float)
+def _build_sample(residuals, N, h3, kind, residuals_sorted=None) -> TailSample:
+    """The only place the threshold rule is decided: exceedances over the
+    a_N = 1 - N/n quantile, the order statistic for kind "empirical", else
+    the smoothed quantile at bandwidth h3.  The smoothed CDF averages over
+    `residuals` in the order given, which fixes its last bit."""
     n = residuals.size
     if not 0 < N < n:
         raise InputError(f"tail count N={N} must satisfy 0 < N < n={n}")
-    srt = np.sort(residuals)
-    q = empirical_quantile(srt, 1.0 - N / n)
-    return _build_sample(srt, N, q, None, "empirical")
+    if residuals_sorted is None:
+        residuals_sorted = np.sort(residuals)
+    a_N = 1.0 - N / n
+    if kind == "empirical":
+        q_tilde = empirical_quantile(residuals_sorted, a_N)
+    else:
+        q_tilde = smoothed_quantile(a_N, residuals, h3)
+    above = residuals_sorted[residuals_sorted > q_tilde]
+    if above.size == 0:
+        raise TailError(f"no exceedances above the threshold at tail count {N}")
+    return TailSample(
+        residuals_sorted=residuals_sorted,
+        n=n,
+        N=N,
+        a_N=a_N,
+        q_tilde=float(q_tilde),
+        N_s=int(above.size),
+        exceedances=above - q_tilde,
+        h3=h3,
+        threshold_kind=kind,
+    )
+
+
+def extract_tail_smoothed(residuals, N: int, h3: float) -> TailSample:
+    """Exceedances over the smoothed a_N-quantile at CDF bandwidth h3."""
+    return _build_sample(np.asarray(residuals, dtype=float), N, h3, "smoothed")
+
+
+def extract_tail_empirical(residuals, N: int) -> TailSample:
+    """Exceedances over the empirical a_N-quantile (comparator construction)."""
+    return _build_sample(np.asarray(residuals, dtype=float), N, None, "empirical")
 
 
 def extract_tail(fit: LocationScaleFit, N: int, h3: float | None = None) -> TailSample:
@@ -131,3 +137,10 @@ def extract_tail(fit: LocationScaleFit, N: int, h3: float | None = None) -> Tail
     if h3 is None:
         h3 = rot_bandwidth_density(fit.x)
     return extract_tail_smoothed(fit.residuals, N, h3)
+
+
+def rethreshold(sample: TailSample, N: int) -> TailSample:
+    """The same residuals' tail at tail count N, under the sample's own
+    threshold rule."""
+    srt = sample.residuals_sorted
+    return _build_sample(srt, N, sample.h3, sample.threshold_kind, srt)

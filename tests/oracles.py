@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from evtrisk.risk import asymptotic_ci, es_bias_term, es_eps, q_eps, q_eps_bc
+from evtrisk.tail import empirical_quantile, smoothed_quantile
 
 
 def gpd_loglik_grid(z, sigma_grid, k_grid):
@@ -244,3 +245,40 @@ def assembly_oracle(tail, a, m, h, bias_correction=True):
         out["ces_bc"], "ces", k_ci, tail.rho_hat, z_hat, tail.sample.N
     )
     return out
+
+
+def _moment_stats_at_count_oracle(residuals_sorted, count, n, h3, threshold_kind):
+    a_level = 1.0 - count / n
+    if threshold_kind == "empirical":
+        q = empirical_quantile(residuals_sorted, a_level)
+    else:
+        q = smoothed_quantile(a_level, residuals_sorted, h3)
+    if q <= 0:
+        raise ValueError(f"threshold at enlarged tail count {count} is nonpositive")
+    above = residuals_sorted[residuals_sorted > q]
+    if above.size == 0:
+        raise ValueError(f"no exceedances at enlarged tail count {count}")
+    logs = np.log(above / q)
+    return float(-logs.mean()), float(np.mean(logs * logs))
+
+
+def rho_oracle(residuals, N, c, h3, threshold_kind):
+    """Second transcription of the second-order estimate: each enlarged tail
+    count thresholds the raw residuals directly, with the log moments
+    written out again; fallback -2, clamp to [-20, -0.05]."""
+    srt = np.sort(np.asarray(residuals, dtype=float))
+    n = srt.size
+    stats = [
+        _moment_stats_at_count_oracle(
+            srt, max(int(math.floor(cc * N * math.log(n) + 0.5)), 10), n, h3,
+            threshold_kind,
+        )
+        for cc in (c, c / 2.0)
+    ]
+    (k_c, m_c), (k_h, m_h) = stats
+    num = m_h - 2.0 * k_h * k_h
+    den = m_c - 2.0 * k_c * k_c
+    if den == 0.0 or num / den <= 0.0 or k_c == 0.0:
+        return -2.0
+    raw = -math.log(num / den) / (k_c * math.log(2.0))
+    return min(max(raw, -20.0), -0.05)

@@ -241,3 +241,17 @@ def test_backtest_tests_skip_steps_without_forecast():
     assert level.violations == int(viol.sum())
     assert level.coverage_p == pytest.approx(coverage_test(viol, 0.95)[1])
     assert (level.t_ind_p, level.t_cc_p) == duration_tests(viol, 0.95)
+
+
+@pytest.mark.parametrize("N", [120, 150])
+def test_rolling_large_tail_count_skips_second_order(N):
+    # At these tail counts the enlarged counts behind rho (and, for N=150,
+    # the moment statistics) hit a nonpositive threshold.  The uncorrected
+    # forecasts never use them, so no window may fail on them.
+    values = np.random.default_rng(0).standard_t(6, size=320)
+    cfg = BacktestConfig(m=310, n=300, a_levels=(0.95,), N=N, B_boot=99)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_backtest(ReturnSeries(values, kind="raw"), cfg)
+    assert report.n_failed_windows == 0
+    assert np.isfinite(report.forecasts.cvar[0.95]).all()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import bias_correct_oracle, gpd_mle_grid_oracle, h_inv_numeric
+from oracles import bias_correct_oracle, gpd_mle_grid_oracle, h_inv_numeric, rho_oracle
 from evtrisk.errors import EstimationWarning, InputError, PoleError, TailError
 from evtrisk.gpd import (
     A_matrix,
@@ -27,7 +27,7 @@ from evtrisk.gpd import (
     moment_stats,
     rho_hat,
 )
-from evtrisk.tail import TailSample, extract_tail_empirical
+from evtrisk.tail import TailSample, extract_tail_empirical, extract_tail_smoothed
 
 
 def make_sample(exceedances, q_tilde=1.0, n=None, N=None):
@@ -188,17 +188,17 @@ def test_rho_count_reaching_sample_errors():
     rng = np.random.default_rng(3)
     res = rng.standard_t(6, size=300)
     with pytest.raises(InputError, match="smaller c"):
-        rho_hat(res, N=200, n=300, c=5.0, threshold_kind="empirical")
+        rho_hat(extract_tail_empirical(res, 200), c=5.0)
 
 
 def test_rho_identical_stats_clamped(monkeypatch):
     import evtrisk.gpd as gpd_mod
 
     monkeypatch.setattr(
-        gpd_mod, "_moment_stats_at_count", lambda *args: (-0.4, 2 * 0.16 + 0.01)
+        gpd_mod, "_log_moments", lambda *args: (-0.4, 2 * 0.16 + 0.01)
     )
     with pytest.warns(EstimationWarning, match="clamped"):
-        value = rho_hat(np.arange(1.0, 1001.0), N=100, n=1000, threshold_kind="empirical")
+        value = rho_hat(extract_tail_empirical(np.arange(1.0, 1001.0), 100))
     assert value == -0.05
 
 
@@ -209,10 +209,10 @@ def test_rho_degenerate_ratio_falls_back(monkeypatch):
     # argument is negative and the heavy-tail fallback kicks in.
     calls = iter([(-0.4, 2 * 0.16 + 0.01), (-0.4, 2 * 0.16 - 0.01)])
     monkeypatch.setattr(
-        gpd_mod, "_moment_stats_at_count", lambda *args: next(calls)
+        gpd_mod, "_log_moments", lambda *args: next(calls)
     )
     with pytest.warns(EstimationWarning, match="rho = -2"):
-        value = rho_hat(np.arange(1.0, 1001.0), N=100, n=1000, threshold_kind="empirical")
+        value = rho_hat(extract_tail_empirical(np.arange(1.0, 1001.0), 100))
     assert value == -2.0
 
 
@@ -227,8 +227,25 @@ def test_rho_student_t6_statistical():
     N = int(math.floor(0.7 * n**0.79 + 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        value = rho_hat(res, N=N, n=n, c=0.25, threshold_kind="empirical")
+        value = rho_hat(extract_tail_empirical(res, N), c=0.25)
     assert abs(value - (-2.0)) <= 1.2
+
+
+@pytest.mark.parametrize("kind", ["smoothed", "empirical"])
+def test_rho_matches_oracle_bitwise(kind):
+    # The re-thresholded sample and the shared log-moment routine reproduce
+    # the direct transcription to the last bit, under both threshold rules.
+    rng = np.random.default_rng(41)
+    res = rng.standard_t(4, size=1500) / math.sqrt(2.0)
+    if kind == "smoothed":
+        sample = extract_tail_smoothed(res, 150, h3=0.3)
+    else:
+        sample = extract_tail_empirical(res, 150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = rho_hat(sample, c=0.25)
+        expect = rho_oracle(res, 150, 0.25, sample.h3, kind)
+    assert value == expect
 
 
 # ---------------------------------------------------------------- matrices
@@ -363,3 +380,14 @@ def test_fit_tail_assembles_everything():
     assert -20.0 <= fit.rho_hat <= -0.05
     assert fit.d_hat != 0.0
     assert fit.k_corr == fit.k_mom
+
+
+def test_fit_tail_without_correction_skips_second_order():
+    rng = np.random.default_rng(15)
+    res = rng.standard_t(4, size=2000) / math.sqrt(2.0)
+    sample = extract_tail_empirical(res, 220)
+    fit = fit_tail(sample, bias_correction=False)
+    assert fit.params == gpd_mle(sample)[0]
+    assert (fit.params_bc, fit.k_mom, fit.M_n, fit.rho_hat, fit.d_hat, fit.k_corr) == (
+        None, None, None, None, None, None
+    )

@@ -107,6 +107,9 @@ def test_smoothed_quantile_statistical_accuracy():
 def test_smoothed_quantile_level_validation():
     with pytest.raises(InputError):
         smoothed_quantile(1.2, np.arange(5.0), 0.5)
+    # A hand-built TailSample defaults to a "smoothed" rule with h3 None.
+    with pytest.raises(InputError, match="bandwidth"):
+        smoothed_quantile(0.5, np.arange(5.0), None)
 
 
 # ---------------------------------------------------------------- tail extraction
