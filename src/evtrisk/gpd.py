@@ -127,12 +127,15 @@ def _loglik_grad_hess(z, log_sigma: float, k: float):
 
 def _ascent_direction(grad, hess):
     """Newton direction, damped until the Hessian is negative definite."""
-    eig = np.linalg.eigvalsh(hess)
-    lam_max = float(eig.max())
-    if lam_max > -1e-10:
-        shift = lam_max + max(1e-6, 0.1 * abs(lam_max))
-        hess = hess - shift * np.eye(2)
-    return np.linalg.solve(hess, -grad)
+    try:
+        eig = np.linalg.eigvalsh(hess)
+        lam_max = float(eig.max())
+        if lam_max > -1e-10:
+            shift = lam_max + max(1e-6, 0.1 * abs(lam_max))
+            hess = hess - shift * np.eye(2)
+        return np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"GPD Newton step failed: {exc}") from exc
 
 
 def gpd_mle(tail: TailSample, max_iter: int = 200, grad_tol: float = 1e-9):

@@ -5,6 +5,20 @@ The location-scale model is Y = m(X) + h(X)^{1/2} eps with IID standardized
 innovations.  m is fit by local-linear regression of Y on X, h by a second
 local-linear regression of the squared residuals on X, and the standardized
 residuals are U / h^{1/2}(X) wherever the variance fit is positive, 0 elsewhere.
+
+The local-linear sums are exact and need no pass over all n points per
+query.  The Epanechnikov weight is a polynomial on its support, so the sums
+s0..s2 and t0, t1 of a query are combinations of windowed power sums of the
+covariate (powers up to 4) and of covariate times response (powers up to 3):
+the "updating" method of Fan & Marron (1994) and Seifert, Brockmann, Engel &
+Gasser (1994).  The design is sorted once, each query's window [q-h, q+h]
+is found by binary search, and the queries are grouped into blocks of extent
+at most h.  Each block recentres its power sums on the data of its middle
+window; one global origin would lose about (span/h)^4 to cancellation.  A
+fit at m queries costs O((n + m) log n) for the sorts and searches plus
+O(n span/h) for the blocks' partial sums.  The dense fit it replaced, which
+evaluates the kernel at every point for every query, is kept as the test
+oracle ``local_linear_dense`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -55,48 +69,158 @@ def _nn_bandwidth(q, x, h):
     return max(h, 1.01 * radius)
 
 
-def _ll_batch_1d(queries, x, y, h, strict=True, chunk=512):
+def _first_inside(xs, start, inside):
+    """First index of sorted xs at which the monotone test inside(values, rows)
+    turns true, per row, searched from `start` one distinct value at a time."""
+    b = start.copy()
+    rows = np.arange(b.size)
+    while True:
+        back = b > 0
+        back[back] = inside(xs[b[back] - 1], rows[back])
+        ahead = b < xs.size
+        ahead[ahead] = ~inside(xs[b[ahead]], rows[ahead])
+        if not (back.any() or ahead.any()):
+            return b
+        b[back] = np.searchsorted(xs, xs[b[back] - 1], side="left")
+        b[ahead] = np.searchsorted(xs, xs[b[ahead]], side="right")
+
+
+def _support(xs, q, h):
+    """Index range [lo, hi) of sorted xs with positive weight at each query.
+
+    The weight is positive iff -1 < (x - q)/h < 1 in floating point, so the
+    range is found by that test itself, starting from searchsorted on q -+ h.
+    """
+    lo = _first_inside(xs, np.searchsorted(xs, q - h), lambda v, r: (v - q[r]) / h > -1.0)
+    hi = _first_inside(xs, np.searchsorted(xs, q + h), lambda v, r: (v - q[r]) / h >= 1.0)
+    return lo, hi
+
+
+def _partial_sums(terms, cuts):
+    """Row sums of terms[:, :c] for each c in the nondecreasing cuts, from one
+    sum per segment between consecutive distinct cuts."""
+    prev = np.concatenate(([0], cuts[:-1]))
+    grows = cuts > prev
+    running = np.zeros((terms.shape[0], np.count_nonzero(grows) + 1))
+    if grows.any():
+        segments = np.add.reduceat(terms[:, : cuts[-1]], prev[grows], axis=1)
+        np.cumsum(segments, axis=1, out=running[:, 1:])
+    return running[:, np.cumsum(grows)]
+
+
+def _window_moments(xs, ys, qs, lo, hi, h):
+    """Epanechnikov local moments at sorted finite queries, about a centre
+    near each query's data.
+
+    Returns rows s0, s1, s2 (sums of w d^k), t0, t1 (sums of w d^k y) and the
+    offset delta = q - c, where d = x - c and w = 0.75 (1 - ((x-q)/h)^2) over
+    each query's support [lo, hi) of the sorted design xs.  Queries are
+    grouped into blocks of extent at most h; a block's centre c is the mean
+    of the design points in its middle query's window.  The weight is a
+    polynomial in d,
+    w = 0.75 ((1 - delta^2/h^2) + 2 delta d/h^2 - d^2/h^2), so every sum is a
+    combination of the windowed power sums of d^p (p <= 4) and d^p y
+    (p <= 3), taken from partial sums over the block's slice of the design.
+    Centring per block keeps |d| and |delta| within a few h and c near the
+    mass of every window in the block, so the sums lose about as much as the
+    dense ones; one global centre would lose about (span/h)^4.
+    """
+    moments = np.zeros((6, qs.size))
+    inv_h2 = 1.0 / (h * h)
+    start = 0
+    while start < qs.size:
+        stop = int(np.searchsorted(qs, qs[start] + h, side="right"))
+        blo, bhi = lo[start:stop], hi[start:stop]
+        first, last = int(blo.min()), int(bhi.max())
+        if last > first:
+            mid = (start + stop - 1) // 2
+            near = slice(lo[mid], hi[mid]) if hi[mid] > lo[mid] else slice(first, last)
+            c = float(np.mean(xs[near]))
+            d = xs[first:last] - c
+            yv = ys[first:last]
+            d2 = d * d
+            terms = np.vstack((d, d2, d2 * d, d2 * d2, yv, d * yv, d2 * yv, d2 * d * yv))
+            # Partial sums run outward from the first design point at or above
+            # the block's middle.  Every query is within h/2 of the middle, so
+            # that point splits every window of the block, and a window sum
+            # never cancels terms from outside the window.
+            a = int(np.searchsorted(xs, 0.5 * (qs[start] + qs[stop - 1]))) - first
+            win = (_partial_sums(terms[:, a:], bhi - first - a)
+                   + _partial_sums(terms[:, :a][:, ::-1], (first + a - blo)[::-1])[:, ::-1])
+            xsum = [(bhi - blo).astype(float), *win[:4]]
+            ysum = win[4:]
+            delta = qs[start:stop] - c
+            # w = w0 + w1 d - w2 d^2 on the support
+            w0 = 0.75 * (1.0 - delta * delta * inv_h2)
+            w1 = 1.5 * delta * inv_h2
+            w2 = 0.75 * inv_h2
+            moments[:, start:stop] = [
+                *(w0 * xsum[k] + w1 * xsum[k + 1] - w2 * xsum[k + 2] for k in range(3)),
+                *(w0 * ysum[k] + w1 * ysum[k + 1] - w2 * ysum[k + 2] for k in range(2)),
+                delta,
+            ]
+        start = stop
+    return moments
+
+
+def _ll_sorted(queries, xs, ys, h, strict=True):
+    """Local-linear fit at many queries on a design sorted by covariate.
+
+    Queries whose window holds fewer than 3 points, or whose weighted
+    covariate variance is negligible, are degenerate: with strict=True the
+    first of them (in query order) raises, with strict=False each is refit
+    with the bandwidth widened to cover its nearest neighbors.
+    """
+    queries = np.atleast_1d(np.asarray(queries, dtype=float))
+    order = np.argsort(queries, kind="stable")
+    qs = queries[order]
+    lo, hi = _support(xs, qs, h)
+    finite = np.flatnonzero(np.isfinite(qs))
+    moments = np.zeros((6, qs.size))
+    if finite.size:
+        f0, f1 = finite[0], finite[-1] + 1
+        moments[:, f0:f1] = _window_moments(xs, ys, qs[f0:f1], lo[f0:f1], hi[f0:f1], h)
+    # A window of tied covariates has zero spread; its power sums would only
+    # leave rounding noise in wvar.
+    tied = (hi > lo) & (xs[np.maximum(hi - 1, 0)] == xs[np.minimum(lo, xs.size - 1)])
+    rank = np.argsort(order)  # back to query order
+    s0, s1, s2, t0, t1, delta = moments[:, rank]
+    npos, tied = (hi - lo)[rank], tied[rank]
+
+    window = min(h, float(np.ptp(xs)))  # effective covariate spread scale
+    det = s0 * s2 - s1 * s1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        safe = np.maximum(s0, 1e-300)
+        wvar = np.where(s0 > 0, s2 / safe - (s1 / safe) ** 2, 0.0)
+    bad = (npos < 3) | tied | (wvar <= 1e-13 * window * window)
+    if strict and np.any(bad):
+        q_bad = queries[np.argmax(bad)]
+        raise DegenerateFitError(
+            f"degenerate local-linear fit at query x={q_bad:.6g} (bandwidth h={h:.6g})"
+        )
+    levels = np.empty(queries.size)
+    slopes = np.empty(queries.size)
+    for j in np.flatnonzero(bad):
+        hq = _nn_bandwidth(queries[j], xs, h)
+        lv, sl = _ll_sorted(queries[j], xs, ys, hq, strict=True)
+        levels[j], slopes[j] = lv[0], sl[0]
+    good = ~bad
+    # The line fit about c, evaluated at q = c + delta.
+    slopes[good] = (s0[good] * t1[good] - s1[good] * t0[good]) / det[good]
+    levels[good] = (s2[good] * t0[good] - s1[good] * t1[good]) / det[good] + slopes[good] * delta[good]
+    return levels, slopes
+
+
+def _ll_batch_1d(queries, x, y, h, strict=True):
     """Vectorized scalar-covariate local-linear fit at many query points.
 
     With strict=False, queries whose local design is degenerate at
     bandwidth h are refit with the bandwidth widened to cover the nearest
     neighbors instead of raising.
     """
-    queries = np.atleast_1d(np.asarray(queries, dtype=float))
-    levels = np.empty(queries.size)
-    slopes = np.empty(queries.size)
-    window = min(h, float(np.ptp(x)))  # effective covariate spread scale
-    for start in range(0, queries.size, chunk):
-        q = queries[start : start + chunk]
-        xc = x[None, :] - q[:, None]
-        w = _epan_weight(xc / h)
-        npos = np.count_nonzero(w > 0.0, axis=1)
-        s0 = w.sum(axis=1)
-        s1 = (w * xc).sum(axis=1)
-        s2 = (w * xc * xc).sum(axis=1)
-        t0 = (w * y).sum(axis=1)
-        t1 = (w * xc * y).sum(axis=1)
-        det = s0 * s2 - s1 * s1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            safe = np.maximum(s0, 1e-300)
-            wvar = np.where(s0 > 0, s2 / safe - (s1 / safe) ** 2, 0.0)
-        bad = (npos < 3) | (wvar <= 1e-13 * window * window)
-        if np.any(bad):
-            if strict:
-                q_bad = q[np.argmax(bad)]
-                raise DegenerateFitError(
-                    f"degenerate local-linear fit at query x={q_bad:.6g} (bandwidth h={h:.6g})"
-                )
-            for j in np.flatnonzero(bad):
-                hq = _nn_bandwidth(q[j], x, h)
-                lv, sl = _ll_batch_1d(q[j], x, y, hq, strict=True)
-                idx = start + j
-                levels[idx], slopes[idx] = lv[0], sl[0]
-        good = ~bad
-        sl_idx = np.arange(start, start + q.size)[good]
-        levels[sl_idx] = (s2[good] * t0[good] - s1[good] * t1[good]) / det[good]
-        slopes[sl_idx] = (s0[good] * t1[good] - s1[good] * t0[good]) / det[good]
-    return levels, slopes
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    return _ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h, strict)
 
 
 def local_linear(query, data_x, data_y, h):
@@ -130,7 +254,10 @@ def rot_bandwidth_regression(x, y) -> float:
     mu, sd = x.mean(), x.std()
     z = (x - mu) / sd
     design = np.vander(z, 5, increasing=True)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    try:
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFitError(f"quartic pilot fit failed: {exc}") from exc
     rss = float(np.sum((y - design @ coef) ** 2))
     sigma2 = rss / (n - 5)
     curvature = (2.0 * coef[2] + 6.0 * coef[3] * z + 12.0 * coef[4] * z * z) / sd**2
@@ -222,14 +349,19 @@ def fit_location_scale(
 
     if h1 is None:
         h1 = rot_bandwidth_regression(x, y)
+    # One stable sort of the design serves both sample passes and every
+    # later m_hat/h_hat query.
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
     # Non-strict evaluation: isolated covariates (routine under heavy-tailed
     # innovations) get a nearest-neighbor bandwidth floor instead of failing.
-    m_at_x, _ = _ll_batch_1d(x, x, y, h1, strict=False)
+    m_at_x, _ = _ll_sorted(x, xs, ys, h1, strict=False)
     u = y - m_at_x
     u2 = u * u
     if h2 is None:
         h2 = rot_bandwidth_regression(x, u2)
-    h_at_x, _ = _ll_batch_1d(x, x, u2, h2, strict=False)
+    u2s = u2[order]
+    h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False)
 
     positive = h_at_x > H_EPS
     if not np.any(positive) and np.any(u2 > H_EPS**2):
@@ -239,12 +371,12 @@ def fit_location_scale(
 
     def m_hat(q):
         scalar = np.isscalar(q)
-        levels, _ = _ll_batch_1d(q, x, y, h1, strict=False)
+        levels, _ = _ll_sorted(q, xs, ys, h1, strict=False)
         return float(levels[0]) if scalar else levels
 
     def h_hat(q):
         scalar = np.isscalar(q)
-        levels, _ = _ll_batch_1d(q, x, u2, h2, strict=False)
+        levels, _ = _ll_sorted(q, xs, u2s, h2, strict=False)
         return float(levels[0]) if scalar else levels
 
     return LocationScaleFit(

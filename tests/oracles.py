@@ -3,10 +3,13 @@ suites.  Everything here is written against the closed forms directly,
 without reusing the package's own composition paths."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from evtrisk.errors import DegenerateFitError
 from evtrisk.risk import asymptotic_ci, es_bias_term, es_eps, q_eps, q_eps_bc
+from evtrisk.smoothing import _epan_weight, _nn_bandwidth
 from evtrisk.tail import empirical_quantile, smoothed_quantile
 
 
@@ -282,3 +285,62 @@ def rho_oracle(residuals, N, c, h3, threshold_kind):
         return -2.0
     raw = -math.log(num / den) / (k_c * math.log(2.0))
     return min(max(raw, -20.0), -0.05)
+
+
+def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
+    """The dense local-linear fit the windowed power-sum path replaced: the
+    kernel evaluated at all n points for every query, in chunks of queries,
+    with the same degeneracy test and nearest-neighbor fallback."""
+    queries = np.atleast_1d(np.asarray(queries, dtype=float))
+    levels = np.empty(queries.size)
+    slopes = np.empty(queries.size)
+    window = min(h, float(np.ptp(x)))  # effective covariate spread scale
+    for start in range(0, queries.size, chunk):
+        q = queries[start : start + chunk]
+        xc = x[None, :] - q[:, None]
+        w = _epan_weight(xc / h)
+        npos = np.count_nonzero(w > 0.0, axis=1)
+        s0 = w.sum(axis=1)
+        s1 = (w * xc).sum(axis=1)
+        s2 = (w * xc * xc).sum(axis=1)
+        t0 = (w * y).sum(axis=1)
+        t1 = (w * xc * y).sum(axis=1)
+        det = s0 * s2 - s1 * s1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            safe = np.maximum(s0, 1e-300)
+            wvar = np.where(s0 > 0, s2 / safe - (s1 / safe) ** 2, 0.0)
+        bad = (npos < 3) | (wvar <= 1e-13 * window * window)
+        if np.any(bad):
+            if strict:
+                q_bad = q[np.argmax(bad)]
+                raise DegenerateFitError(
+                    f"degenerate local-linear fit at query x={q_bad:.6g} (bandwidth h={h:.6g})"
+                )
+            for j in np.flatnonzero(bad):
+                hq = _nn_bandwidth(q[j], x, h)
+                lv, sl = local_linear_dense(q[j], x, y, hq, strict=True)
+                idx = start + j
+                levels[idx], slopes[idx] = lv[0], sl[0]
+        good = ~bad
+        sl_idx = np.arange(start, start + q.size)[good]
+        levels[sl_idx] = (s2[good] * t0[good] - s1[good] * t1[good]) / det[good]
+        slopes[sl_idx] = (s0[good] * t1[good] - s1[good] * t0[good]) / det[good]
+    return levels, slopes
+
+
+def local_linear_exact(q, x, y, h):
+    """Local-linear (level, slope) at one query in exact rational arithmetic
+    on the float inputs: the reference for badly conditioned extrapolations."""
+    q, h = Fraction(float(q)), Fraction(float(h))
+    s = [Fraction(0)] * 3
+    t = [Fraction(0)] * 2
+    for xi, yi in zip(x.tolist(), y.tolist()):
+        e = Fraction(xi) - q
+        if abs(e) < h:
+            w = Fraction(3, 4) * (1 - (e / h) ** 2)
+            for k in range(3):
+                s[k] += w * e**k
+            for k in range(2):
+                t[k] += w * e**k * Fraction(yi)
+    det = s[0] * s[2] - s[1] ** 2
+    return float((s[2] * t[0] - s[1] * t[1]) / det), float((s[0] * t[1] - s[1] * t[0]) / det)

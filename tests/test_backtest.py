@@ -8,6 +8,7 @@ from scipy import stats
 from evtrisk.backtest import (
     BacktestConfig,
     _durations,
+    _forecast_window,
     _weibull_loglik,
     _weibull_profile_loglik,
     _weibull_profile_score,
@@ -19,6 +20,7 @@ from evtrisk.backtest import (
 )
 from evtrisk.errors import EstimationWarning, EvtriskError, InputError
 from evtrisk.ingest import ReturnSeries
+from test_mc import fail_first_call
 
 
 # ---------------------------------------------------------------- coverage
@@ -255,3 +257,23 @@ def test_rolling_large_tail_count_skips_second_order(N):
         report = run_backtest(ReturnSeries(values, kind="raw"), cfg)
     assert report.n_failed_windows == 0
     assert np.isfinite(report.forecasts.cvar[0.95]).all()
+
+
+@pytest.mark.parametrize("name, category", [
+    ("lstsq", "DegenerateFitError"),    # quartic pilot of the bandwidth rule
+    ("eigvalsh", "ConvergenceError"),   # Newton step of the GPD likelihood
+])
+def test_linalg_error_fails_one_window(monkeypatch, name, category):
+    values = np.random.default_rng(3).standard_t(6, size=330)
+    cfg = BacktestConfig(m=330, n=300, a_levels=(0.95,))
+    error = np.linalg.LinAlgError("injected")
+    fail_first_call(monkeypatch, np.linalg, name, error)
+    _, out, _, message = _forecast_window((values, 299, 300, None, (0.95,)))
+    assert out is None
+    assert message.startswith(f"{category}: ") and "injected" in message
+    fail_first_call(monkeypatch, np.linalg, name, error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        forecasts = rolling_forecast(ReturnSeries(values, kind="raw"), cfg, threads=1)
+    assert forecasts.n_failures == 1
+    assert forecasts.carried.tolist() == [True] + [False] * (forecasts.steps.size - 1)

@@ -66,6 +66,13 @@ def test_variance_recursion_and_floor():
     np.testing.assert_allclose(path.h[1:], rebuilt, rtol=1e-12)
 
 
+def test_variance_recursion_h1():
+    design = McDesign(n=300, variant="h1", theta=0.5, v=3, reps=1, seed=2)
+    path = _simulate(design, 0)
+    rebuilt = variance_fn(path.y[:-1], "h1") + 0.5 * path.h[:-1]
+    np.testing.assert_allclose(path.h[1:], rebuilt, rtol=1e-12)
+
+
 # ---------------------------------------------------------------- truths
 
 
@@ -173,6 +180,36 @@ def test_experiment_reproducible_across_threads(small_result):
         assert a.B == b.B and a.S == b.S and a.R == b.R and a.ecp == b.ecp
     for level in DESIGN.a_levels:
         np.testing.assert_array_equal(small_result.truths[level], again.truths[level])
+
+
+def fail_first_call(monkeypatch, module, name, error):
+    """Make module.name raise `error` on its first call only."""
+    original = getattr(module, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 1:
+            raise error
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize("name, category", [
+    ("lstsq", "DegenerateFitError"),    # quartic pilot of the bandwidth rule
+    ("eigvalsh", "ConvergenceError"),   # Newton step of the GPD likelihood
+])
+def test_linalg_error_fails_one_replication(monkeypatch, name, category):
+    fail_first_call(monkeypatch, np.linalg, name, np.linalg.LinAlgError("injected"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # 21 table1-style replications, none of which fails on its own
+        result = run_experiment(named_design("table1", reps=21, seed=0), threads=1)
+    assert result.n_failures == 1
+    rep, message = result.failures[0]
+    assert rep == 0
+    assert message.startswith(f"{category}: ") and "injected" in message
 
 
 def test_named_designs():

@@ -1,15 +1,23 @@
+import pathlib
+import types
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import oracles
+from evtrisk import smoothing
 from evtrisk.errors import DegenerateFitError, EstimationWarning, InputError
 from evtrisk.ingest import ReturnSeries
+from evtrisk.mc import _simulate, named_design
 from evtrisk.smoothing import (
     ROT_KERNEL_CONST,
     _epan_integrated,
     _epan_weight,
+    _ll_batch_1d,
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,
@@ -268,3 +276,169 @@ def test_fit_location_scale_heavy_tails_no_crash():
     values = rng.standard_t(3, size=800)
     fit = fit_location_scale(ReturnSeries(values, kind="raw"))
     assert np.all(np.isfinite(fit.residuals))
+
+
+def test_fit_location_scale_rejects_singular_pilot(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", singular)
+    rng = np.random.default_rng(4)
+    with pytest.raises(DegenerateFitError, match="quartic pilot fit failed"):
+        fit_location_scale(ReturnSeries(rng.standard_normal(200), kind="raw"))
+
+
+# ------------------------------------- windowed power sums vs the dense oracle
+
+GEN_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def _load_gen():
+    # Compiled in memory: nothing is written next to the benchmark's files.
+    module = types.ModuleType("perfbench_gen")
+    module.__file__ = str(GEN_PATH)
+    exec(compile(GEN_PATH.read_text(), str(GEN_PATH), "exec"), module.__dict__)
+    return module
+
+
+def _run(fit, queries, x, y, h, strict):
+    """(levels, slopes) or the DegenerateFitError message, plus the queries
+    whose bandwidth was widened, in the order they were widened."""
+    widened = []
+    original = fit.__globals__["_nn_bandwidth"]
+
+    def recording(q, data, bandwidth):
+        widened.append(float(q))
+        return original(q, data, bandwidth)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(fit.__globals__, "_nn_bandwidth", recording)
+        try:
+            result = fit(queries, x, y, h, strict=strict)
+        except DegenerateFitError as exc:
+            result = str(exc)
+    return result, widened
+
+
+def assert_matches_dense(queries, x, y, h, strict=False, tol=1e-10):
+    """The windowed fit agrees with the dense oracle: levels and slopes within
+    tol * max|dense|, the same widened queries and the same errors."""
+    fast, fast_widened = _run(_ll_batch_1d, queries, x, y, h, strict)
+    dense, dense_widened = _run(oracles.local_linear_dense, queries, x, y, h, strict)
+    np.testing.assert_array_equal(fast_widened, dense_widened)
+    if isinstance(dense, str):
+        assert fast == dense
+        return dense
+    assert not isinstance(fast, str), fast
+    for got, want in zip(fast, dense):
+        scale = float(np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
+    return dense
+
+
+def assert_stage_one_matches_dense(values):
+    """Both sample passes of the first stage, m on y and h on u^2, agree with
+    the dense oracle; the variance fit also pointwise where it is positive."""
+    x, y = values[:-1], values[1:]
+    h1 = rot_bandwidth_regression(x, y)
+    m_dense, _ = assert_matches_dense(x, x, y, h1)
+    u2 = (y - m_dense) ** 2
+    h2 = rot_bandwidth_regression(x, u2)
+    h_dense, _ = assert_matches_dense(x, x, u2, h2)
+    h_fast, _ = _ll_batch_1d(x, x, u2, h2, strict=False)
+    positive = h_dense > 0
+    np.testing.assert_allclose(h_fast[positive], h_dense[positive], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("n, v", [(8000, 3), (1000, 6)])
+def test_windowed_fit_matches_dense_on_benchmark_series(n, v):
+    assert_stage_one_matches_dense(_load_gen().simulate_returns(7, n + 1, v))
+
+
+@pytest.mark.parametrize("name, seed", [("table1", 3), ("table4", 4)])
+def test_windowed_fit_matches_dense_on_mc_paths(name, seed):
+    design = named_design(name, reps=3, seed=seed)
+    for rep in range(design.reps):
+        assert_stage_one_matches_dense(_simulate(design, rep).y)
+
+
+def test_windowed_fit_matches_dense_with_heavy_ties():
+    # Real prices quote in ticks: many zero returns and many repeated values.
+    rng = np.random.default_rng(11)
+    returns = np.round(0.01 * rng.standard_t(4, size=2001), 3)
+    returns[rng.random(2001) < 0.3] = 0.0
+    assert np.mean(returns == 0.0) > 0.3
+    assert_stage_one_matches_dense(returns)
+    # The window of x=0.49 holds only tied zeros, near its edge, while its
+    # block is centred on the points above 1: degenerate, as in the dense fit,
+    # though the power sums leave rounding noise above the variance floor.
+    x = np.concatenate([np.zeros(4000), rng.uniform(1.0, 1.5, size=4000)])
+    y = rng.normal(size=x.size)
+    queries = np.array([0.49, 0.75, 0.95])
+    assert assert_matches_dense(queries, x, y, 0.5, strict=True) == (
+        "degenerate local-linear fit at query x=0.49 (bandwidth h=0.5)"
+    )
+    assert_matches_dense(queries, x, y, 0.5)
+
+
+def test_windowed_fit_point_exactly_at_bandwidth():
+    # (x - q)/h is exactly +-1 for the neighbors of each query: zero weight,
+    # so the window holds one point and every query is widened.
+    x = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    y = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+    message = assert_matches_dense(1.0, x, y, 0.5, strict=True)
+    assert message == "degenerate local-linear fit at query x=1 (bandwidth h=0.5)"
+    assert_matches_dense(x, x, y, 0.5)
+    # On a decimal grid (x - q)/h lands one ulp on either side of 1.
+    grid = np.arange(41) * 0.1
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=grid.size)
+    for h in (0.1, 0.2, 0.3, 0.7):
+        assert_matches_dense(grid, grid, values, h)
+        assert_matches_dense(grid + 0.05, grid, values, h)
+
+
+def test_windowed_fit_queries_outside_data():
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1.0, 1.0, size=300)
+    y = np.sin(3.0 * x) + 0.1 * rng.normal(size=300)
+    assert_matches_dense(np.array([-1.3, -1.05, 1.05, 1.3, 0.0, -0.99]), x, y, 0.2)
+    assert assert_matches_dense(np.array([0.0, 5.0]), x, y, 0.2, strict=True) == (
+        "degenerate local-linear fit at query x=5 (bandwidth h=0.2)"
+    )
+    assert assert_matches_dense(np.array([0.0, np.nan]), x, y, 0.2) == (
+        "no distinct covariates around query x=nan"
+    )
+    # Far outside, the widened window extrapolates a line fit on 3 points
+    # spread over 0.03 to a distance of 4.  The dense sums lose 1.5e-10 there
+    # (against exact rational arithmetic); the windowed ones do not.
+    far = np.array([-5.0, 5.0])
+    assert_matches_dense(far, x, y, 0.2, tol=1e-9)
+    levels, slopes = _ll_batch_1d(far, x, y, 0.2, strict=False)
+    for q, level, slope in zip(far, levels, slopes):
+        exact = oracles.local_linear_exact(q, x, y, smoothing._nn_bandwidth(q, x, 0.2))
+        np.testing.assert_allclose([level, slope], exact, rtol=1e-12)
+
+
+@given(
+    st.lists(st.integers(0, 30), min_size=3, max_size=40),
+    st.randoms(use_true_random=False),
+    st.integers(0, 12),
+    st.sampled_from([1.0, 0.01, 3.7]),
+    st.floats(-50.0, 50.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_windowed_fit_matches_dense_property(grid, rand, k, scale, shift):
+    # Covariates on a grid (with ties) and a half-integer bandwidth keep each
+    # point at least half a grid step from the kernel's edge, where weights
+    # are tiny and any two summation orders disagree.
+    assume(len(set(grid)) >= 2)
+    x = shift + scale * np.array(grid, dtype=float)
+    y = np.array([rand.uniform(-10.0, 10.0) for _ in grid])
+    assume(np.ptp(y) >= 1.0)  # a flat response leaves only rounding noise to compare
+    queries = shift + scale * np.arange(-3, 34, dtype=float)
+    h = scale * (k + 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_matches_dense(queries, x, y, h)
+        assert_matches_dense(queries, x, y, h, strict=True)
