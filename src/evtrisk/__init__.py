@@ -26,14 +26,10 @@ from .gpd import (
     A_matrix,
     GpdParams,
     H_inv,
-    H_matrix,
     TailFit,
-    V2_matrix,
     Vb_matrix,
     bias_correct_params,
     fit_tail,
-    gpd_cdf,
-    gpd_logpdf,
     gpd_mle,
     gpd_quantile,
     moment_stats,

@@ -14,11 +14,11 @@ import warnings
 import numpy as np
 
 from .backtest import BacktestConfig, run_backtest
-from .errors import EvtriskError, InputError
+from .errors import EstimationWarning, EvtriskError, InputError, PoleError
 from .gpd import fit_tail
 from .ingest import ReturnSeries, load_prices, load_returns, to_returns
 from .mc import McDesign, named_design, run_experiment
-from .risk import estimate_at
+from .risk import estimate_at, mse_crossover
 from .smoothing import fit_location_scale
 from .tail import choose_N, extract_tail
 
@@ -34,13 +34,15 @@ def _add_input_flags(parser):
     )
 
 
-def _add_common_flags(parser):
+def _add_common_flags(parser, threads: bool, timestamp: bool):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: EVTRISK_THREADS or all cores)")
     parser.add_argument("--out", metavar="FILE", default=None)
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the generation timestamp from reports")
+    if threads:
+        parser.add_argument("--threads", type=int, default=None,
+                            help="worker count (default: EVTRISK_THREADS or all cores)")
+    if timestamp:
+        parser.add_argument("--no-timestamp", action="store_true",
+                            help="omit the generation timestamp from the report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,13 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--rho", default="auto",
                      help="second-order parameter: number or 'auto'")
     est.add_argument("--no-bias-correction", action="store_true")
-    _add_common_flags(est)
+    _add_common_flags(est, threads=False, timestamp=True)
 
     mc = sub.add_parser("mc", help="Monte Carlo replication study")
     mc.add_argument("--design", default="table1",
                     help="named design (table1, table23, table4) or a JSON file")
     mc.add_argument("--reps", type=int, default=200)
-    _add_common_flags(mc)
+    _add_common_flags(mc, threads=True, timestamp=False)
 
     bt = sub.add_parser("backtest", help="rolling out-of-sample validation")
     _add_input_flags(bt)
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--B-boot", type=int, default=9999, dest="b_boot")
     bt.add_argument("--dump-forecasts", metavar="FILE", default=None,
                     help="write per-step forecast CSV (date, return, cvar, ces)")
-    _add_common_flags(bt)
+    _add_common_flags(bt, threads=True, timestamp=True)
     return parser
 
 
@@ -146,7 +148,11 @@ def _cmd_estimate(args) -> int:
     _validate_level(args.a)
     n_flag = _parse_or_auto(args.N, int, "--N")
     rho_flag = _parse_or_auto(args.rho, float, "--rho")
+    if rho_flag is not None and not (math.isfinite(rho_flag) and rho_flag < 0):
+        raise InputError(f"--rho must be finite and negative, got {args.rho!r}")
     x_flag = _parse_or_auto(args.x, float, "--x", sentinel="last")
+    if x_flag is not None and not math.isfinite(x_flag):
+        raise InputError(f"--x must be finite, got {args.x!r}")
     series, _ = _load_series(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -159,6 +165,14 @@ def _cmd_estimate(args) -> int:
         x = float(series.values[-1]) if x_flag is None else x_flag
         est = estimate_at(fit, tail, args.a, x,
                           bias_correction=not args.no_bias_correction)
+        crossover = None
+        if tail.params_bc is not None:
+            # At the plug-in point of the interval variances (see assemble).
+            try:
+                c1, c2 = mse_crossover(tail.params_bc.k, tail.rho_hat, est.Z_hat)
+                crossover = {"C1": c1, "C2": c2}
+            except PoleError as exc:
+                warnings.warn(f"MSE crossover undefined: {exc}", EstimationWarning)
     report = {
         "command": "estimate",
         "input": {
@@ -188,6 +202,7 @@ def _cmd_estimate(args) -> int:
                       "ces_bc": list(est.ci_ces) if est.ci_ces else None},
         "variances": {"sigma1_b": est.sigma1_b, "sigma2_b": est.sigma2_b,
                       "sigma3_b": est.sigma3_b},
+        "mse_crossover": crossover,
         "warnings": sorted(str(w.message) for w in caught),
     }
     _write_report(report, args)

@@ -23,6 +23,8 @@ K_DOMAIN = 0.9          # solver keeps k in (-K_DOMAIN, K_DOMAIN)
 K_EXP_LIMIT = 1e-8      # below this |k| the exponential limit is used
 RHO_CLAMP = (-20.0, -0.05)
 RHO_FALLBACK = -2.0     # heavy-tail anchor used when the log argument degenerates
+MLE_MAX_ITER = 200      # Newton iterations before the MLE gives up
+MLE_GRAD_TOL = 1e-9     # sup-norm of the gradient accepted as converged
 
 
 @dataclass(frozen=True)
@@ -39,32 +41,7 @@ class GpdParams:
             raise InputError("GPD shape must be finite")
 
 
-def gpd_logpdf(z, params: GpdParams):
-    """Log density; -inf outside the support so likelihoods stay comparable."""
-    z = np.asarray(z, dtype=float)
-    sigma, k = params.sigma, params.k
-    out = np.full(z.shape, -np.inf)
-    if abs(k) < K_EXP_LIMIT:
-        ok = z >= 0
-        out[ok] = -math.log(sigma) - z[ok] / sigma
-    else:
-        arg = 1.0 - k * z / sigma
-        ok = (z >= 0) & (arg > 0)
-        out[ok] = -math.log(sigma) + (1.0 / k - 1.0) * np.log(arg[ok])
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def gpd_cdf(z, params: GpdParams):
-    z = np.asarray(z, dtype=float)
-    sigma, k = params.sigma, params.k
-    if abs(k) < K_EXP_LIMIT:
-        return np.clip(1.0 - np.exp(-z / sigma), 0.0, 1.0)
-    arg = np.maximum(1.0 - k * z / sigma, 0.0)
-    return np.where(z <= 0, 0.0, 1.0 - arg ** (1.0 / k))
-
-
+# Kept public: tests/test_acceptance.py draws GPD samples through it.
 def gpd_quantile(p, params: GpdParams):
     p = np.asarray(p, dtype=float)
     sigma, k = params.sigma, params.k
@@ -138,7 +115,7 @@ def _ascent_direction(grad, hess):
         raise ConvergenceError(f"GPD Newton step failed: {exc}") from exc
 
 
-def gpd_mle(tail: TailSample, max_iter: int = 200, grad_tol: float = 1e-9):
+def gpd_mle(tail: TailSample):
     """Maximize the GPD log likelihood of the exceedances.
 
     Safeguarded Newton in (log sigma, k) with backtracking, started at
@@ -161,9 +138,9 @@ def gpd_mle(tail: TailSample, max_iter: int = 200, grad_tol: float = 1e-9):
     ll, grad, hess = _loglik_grad_hess(z, theta[0], theta[1])
     if grad is None:
         raise ConvergenceError("starting point outside the GPD support")
-    for _ in range(max_iter):
+    for _ in range(MLE_MAX_ITER):
         gnorm = np.max(np.abs(grad))
-        if gnorm < grad_tol:
+        if gnorm < MLE_GRAD_TOL:
             break
         step = _ascent_direction(grad, hess)
         scale_only = np.array([grad[0] / max(abs(hess[0, 0]), 1e-8), 0.0])
@@ -192,7 +169,7 @@ def gpd_mle(tail: TailSample, max_iter: int = 200, grad_tol: float = 1e-9):
             break
     else:
         raise ConvergenceError("GPD likelihood maximization did not converge")
-    if np.max(np.abs(grad)) >= grad_tol:
+    if np.max(np.abs(grad)) >= MLE_GRAD_TOL:
         # A maximum pinned at the shape boundary (data outside the heavy-tail
         # regime): the scale gradient vanishes while the shape gradient
         # points outward.  Flagged, not fatal.
@@ -281,42 +258,12 @@ def _check_pole(value: float, name: str):
         raise PoleError(f"factor {name} vanishes")
 
 
-def H_matrix(k: float) -> np.ndarray:
-    """Expected GPD information matrix scaled as in the limit theory."""
-    if k >= 0.5:
-        raise PoleError("H(k) requires k < 1/2")
-    _check_pole(k, "k")
-    return (1.0 / ((1.0 - 2.0 * k) * (1.0 - k))) * np.array(
-        [[1.0 - k, -1.0], [-1.0, 2.0]]
-    )
-
-
 def H_inv(k: float) -> np.ndarray:
     """Closed-form inverse of H(k): (1-k) [[2, 1], [1, 1-k]]."""
     if k >= 0.5:
         raise PoleError("H(k) requires k < 1/2")
     _check_pole(k, "k")
     return (1.0 - k) * np.array([[2.0, 1.0], [1.0, 1.0 - k]])
-
-
-def V2_matrix(k: float) -> np.ndarray:
-    if k >= 0.5:
-        raise PoleError("V2(k) requires k < 1/2")
-    _check_pole(k, "k")
-    _check_pole(k - 1.0, "k - 1")
-    return np.array(
-        [
-            [
-                (k * k - 4.0 * k + 2.0) / (2.0 * k - 1.0) ** 2,
-                -1.0 / (k * (k - 1.0)),
-            ],
-            [
-                -1.0 / (k * (k - 1.0)),
-                (2.0 * k**3 - 2.0 * k**2 + 2.0 * k - 1.0)
-                / (k**2 * (k - 1.0) ** 2 * (2.0 * k - 1.0)),
-            ],
-        ]
-    )
 
 
 def Vb_matrix(k: float) -> np.ndarray:

@@ -50,6 +50,7 @@ class McDesign:
         for a in self.a_levels:
             if not 0.0 < a < 1.0:
                 raise InputError(f"level {a} outside (0,1)")
+        choose_N(self.n, self.c)  # rejects a bad schedule constant before any replication
 
     @property
     def k0(self) -> float:
@@ -86,10 +87,6 @@ def _t_risk_std(a: float, v: int) -> tuple[float, float]:
     Every replication of a design asks for the same few (a, v) pairs.
     """
     return float(t_quantile_std(a, v)), float(t_tail_mean_std(a, v))
-
-
-def mean_fn(y):
-    return np.sin(0.5 * np.asarray(y, dtype=float))
 
 
 def variance_fn(y, variant: str):
@@ -146,6 +143,7 @@ def _simulate(design: McDesign, rep: int = 0, innovations=None) -> SimPath:
     )
 
 
+# Kept public: scripts/run_synthetic_backtest.py simulates its series with it.
 def simulate_dgp(design: McDesign, rep: int = 0, innovations=None) -> ReturnSeries:
     """Generate one sample from the design (burn-in discarded)."""
     return ReturnSeries(_simulate(design, rep, innovations).y, kind="raw")
@@ -172,6 +170,28 @@ def true_risk(design: McDesign, x: float, a: float, h_next: float | None = None)
 # true mean, variance, and innovations (the benchmark construction).
 
 
+def _record(records: dict, arm: str, design: McDesign, tail_fit, estimates, h_next):
+    """Rows of one estimator arm and its "_bc" twin: the four parameter rows,
+    then four rows per level of `estimates` (RiskEstimates at the path's
+    query point, in level order)."""
+    bc = arm + "_bc"
+    sigma_n_true = -design.k0 * _t_risk_std(tail_fit.sample.a_N, design.v)[0]
+    records[("sigma_N", arm, None)] = (tail_fit.params.sigma, sigma_n_true, None)
+    records[("k0", arm, None)] = (tail_fit.params.k, design.k0, None)
+    records[("sigma_N", bc, None)] = (tail_fit.params_bc.sigma, sigma_n_true, None)
+    records[("k0", bc, None)] = (tail_fit.params_bc.k, design.k0, None)
+    for est in estimates:
+        q_true, e_true = true_risk(design, est.x, est.a, h_next=h_next)
+        records[("cvar", arm, est.a)] = (est.cvar, q_true, None)
+        records[("ces", arm, est.a)] = (est.ces, e_true, None)
+        records[("cvar", bc, est.a)] = (
+            est.cvar_bc, q_true, est.ci_cvar[0] <= q_true <= est.ci_cvar[1],
+        )
+        records[("ces", bc, est.a)] = (
+            est.ces_bc, e_true, est.ci_ces[0] <= e_true <= est.ci_ces[1],
+        )
+
+
 def _replicate(design: McDesign, rep: int) -> dict:
     path = _simulate(design, rep)
     x_query = float(path.y[-1])
@@ -180,57 +200,20 @@ def _replicate(design: McDesign, rep: int) -> dict:
     # Full pipeline on the observed series.
     series = ReturnSeries(path.y, kind="raw")
     fit = fit_location_scale(series, lag=1)
-    n_eff = fit.residuals.size
-    N = choose_N(n_eff, design.c)
-    sample = extract_tail(fit, N)
-    tail_fit = fit_tail(sample, rho_c=design.rho_c)
-
-    sigma_n_true = -design.k0 * _t_risk_std(sample.a_N, design.v)[0]
-    records[("sigma_N", "pipeline", None)] = (tail_fit.params.sigma, sigma_n_true, None)
-    records[("k0", "pipeline", None)] = (tail_fit.params.k, design.k0, None)
-    records[("sigma_N", "pipeline_bc", None)] = (
-        tail_fit.params_bc.sigma, sigma_n_true, None,
-    )
-    records[("k0", "pipeline_bc", None)] = (tail_fit.params_bc.k, design.k0, None)
-
-    for a in design.a_levels:
-        est = estimate_at(fit, tail_fit, a, x_query)
-        q_true, e_true = true_risk(design, x_query, a, h_next=path.h_next)
-        records[("cvar", "pipeline", a)] = (est.cvar, q_true, None)
-        records[("ces", "pipeline", a)] = (est.ces, e_true, None)
-        records[("cvar", "pipeline_bc", a)] = (
-            est.cvar_bc, q_true, est.ci_cvar[0] <= q_true <= est.ci_cvar[1],
-        )
-        records[("ces", "pipeline_bc", a)] = (
-            est.ces_bc, e_true, est.ci_ces[0] <= e_true <= est.ci_ces[1],
-        )
+    N = choose_N(fit.residuals.size, design.c)
+    tail_fit = fit_tail(extract_tail(fit, N), rho_c=design.rho_c)
+    _record(records, "pipeline", design, tail_fit,
+            [estimate_at(fit, tail_fit, a, x_query) for a in design.a_levels],
+            path.h_next)
 
     # Oracle-input comparator: true innovations, empirical threshold,
     # true mean and variance in the conditional assembly.
-    n_full = path.eps.size
-    n_oracle = choose_N(n_full, design.c)
-    o_sample = extract_tail_empirical(path.eps, n_oracle)
+    o_sample = extract_tail_empirical(path.eps, choose_N(path.eps.size, design.c))
     o_fit = fit_tail(o_sample, rho_c=design.rho_c)
-    sigma_n_oracle = -design.k0 * _t_risk_std(o_sample.a_N, design.v)[0]
-    records[("sigma_N", "oracle", None)] = (o_fit.params.sigma, sigma_n_oracle, None)
-    records[("k0", "oracle", None)] = (o_fit.params.k, design.k0, None)
-    records[("sigma_N", "oracle_bc", None)] = (
-        o_fit.params_bc.sigma, sigma_n_oracle, None,
-    )
-    records[("k0", "oracle_bc", None)] = (o_fit.params_bc.k, design.k0, None)
-
     m_true = math.sin(0.5 * x_query)
-    for a in design.a_levels:
-        est = assemble(o_fit, a, x_query, m_true, path.h_next)
-        q_true, e_true = true_risk(design, x_query, a, h_next=path.h_next)
-        records[("cvar", "oracle", a)] = (est.cvar, q_true, None)
-        records[("ces", "oracle", a)] = (est.ces, e_true, None)
-        records[("cvar", "oracle_bc", a)] = (
-            est.cvar_bc, q_true, est.ci_cvar[0] <= q_true <= est.ci_cvar[1],
-        )
-        records[("ces", "oracle_bc", a)] = (
-            est.ces_bc, e_true, est.ci_ces[0] <= e_true <= est.ci_ces[1],
-        )
+    _record(records, "oracle", design, o_fit,
+            [assemble(o_fit, a, x_query, m_true, path.h_next) for a in design.a_levels],
+            path.h_next)
     return records
 
 
@@ -254,7 +237,6 @@ class McRow:
     R: float
     rel_R: float
     ecp: float | None
-    n_used: int
 
 
 @dataclass
@@ -278,7 +260,7 @@ def summarize(errors: np.ndarray, trim: float = TRIM_FRACTION):
     kept = _trimmed_errors(errors, trim)
     b = float(kept.mean())
     s = float(kept.std(ddof=0))
-    return b, s, math.hypot(b, s), kept.size
+    return b, s, math.hypot(b, s)
 
 
 def run_experiment(design: McDesign, threads: int = 1) -> McResult:
@@ -314,7 +296,7 @@ def run_experiment(design: McDesign, threads: int = 1) -> McResult:
     for key in keys:
         triples = [rec[key] for _, rec in successes if key in rec]
         errors = np.array([est - true for est, true, _ in triples])
-        b, s, r, used = summarize(errors)
+        b, s, r = summarize(errors)
         covered = [cov for _, _, cov in triples if cov is not None]
         if key[0] in ("cvar", "ces") and key[1].endswith("_bc"):
             # failed replications count as non-coverage: divide by all reps
@@ -322,7 +304,7 @@ def run_experiment(design: McDesign, threads: int = 1) -> McResult:
         else:
             ecp = None
         r_by_key[key] = r
-        rows.append(McRow(key[0], key[1], key[2], b, s, r, math.nan, ecp, used))
+        rows.append(McRow(key[0], key[1], key[2], b, s, r, math.nan, ecp))
 
     for row in rows:
         group = [

@@ -15,6 +15,8 @@ from .errors import EstimationWarning, InputError, PoleError, TailError
 from .gpd import K_EXP_LIMIT, A_matrix, H_inv, TailFit, Vb_matrix, d_hat
 from .smoothing import LocationScaleFit
 
+CI_Z = float(stats.norm.ppf(0.975))  # two-sided 95% normal quantile
+
 
 def _extrapolation(q_tilde, sigma, k, ratio):
     """q_tilde + sigma/k (1 - ratio^k) with the logarithmic k -> 0 limit."""
@@ -263,33 +265,16 @@ def mse_crossover(k: float, rho: float, z: float):
     return c1, c2
 
 
-def asymptotic_ci(
-    estimate: float,
-    kind: str,
-    k: float,
-    rho: float,
-    z: float,
-    N: int,
-    level: float = 0.95,
-):
-    """Ratio-form confidence interval estimate / (1 +- z_a sqrt(Sigma/N)).
+def asymptotic_ci(estimate: float, variance: float, N: int):
+    """Ratio-form 95% confidence interval estimate / (1 +- z sqrt(Sigma/N))
+    for the asymptotic variance Sigma of the estimate.
 
-    kind selects the variance: "cvar" uses the corrected quantile variance,
-    "ces" the corrected conditional-shortfall variance, "es" the corrected
-    innovation-shortfall variance.  When 1 - z_a sqrt(Sigma/N) <= 0 the
-    upper endpoint is +inf and a warning is raised.
+    When 1 - z sqrt(Sigma/N) <= 0 the upper endpoint is +inf and a warning
+    is raised.
     """
-    if kind == "cvar":
-        variance = sigma1_b(k, rho, z)
-    elif kind == "ces":
-        variance = sigma3_b(k, rho, z)
-    elif kind == "es":
-        variance = sigma2_b(k, rho, z)
-    else:
-        raise InputError(f"unknown interval kind {kind!r}")
     if variance < 0:
-        raise PoleError(f"negative variance expression for {kind}")
-    spread = stats.norm.ppf(0.5 + level / 2.0) * math.sqrt(variance / N)
+        raise PoleError("negative variance expression")
+    spread = CI_Z * math.sqrt(variance / N)
     lo = estimate / (1.0 + spread)
     if 1.0 - spread <= 0.0:
         warnings.warn(
@@ -334,14 +319,11 @@ def estimate_at(
     a: float,
     x: float,
     bias_correction: bool = True,
-    ci_level: float = 0.95,
 ) -> RiskEstimate:
     """Conditional CVaR and CES at query x from the fitted location and
     scale; see assemble."""
-    return assemble(
-        tail, a, x, float(fit.m_hat(x)), float(fit.h_hat(x)),
-        bias_correction=bias_correction, ci_level=ci_level,
-    )
+    return assemble(tail, a, x, float(fit.m_hat(x)), float(fit.h_hat(x)),
+                    bias_correction=bias_correction)
 
 
 def assemble(
@@ -351,7 +333,6 @@ def assemble(
     m_x: float,
     h_x: float,
     bias_correction: bool = True,
-    ci_level: float = 0.95,
 ) -> RiskEstimate:
     """Assemble conditional CVaR and CES at query x for one target level
     from the location m_x and variance h_x at x.
@@ -392,6 +373,6 @@ def assemble(
     out.sigma1_b = sigma1_b(k_b, rho, z_hat)
     out.sigma2_b = sigma2_b(k_b, rho, z_hat)
     out.sigma3_b = sigma3_b(k_b, rho, z_hat)
-    out.ci_cvar = asymptotic_ci(out.cvar_bc, "cvar", k_b, rho, z_hat, N, ci_level)
-    out.ci_ces = asymptotic_ci(out.ces_bc, "ces", k_b, rho, z_hat, N, ci_level)
+    out.ci_cvar = asymptotic_ci(out.cvar_bc, out.sigma1_b, N)
+    out.ci_ces = asymptotic_ci(out.ces_bc, out.sigma3_b, N)
     return out

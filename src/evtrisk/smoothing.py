@@ -36,6 +36,9 @@ from .ingest import ReturnSeries
 # (R(K) / mu_2(K)^2)^{1/5} with R(K) = 3/5 and mu_2(K) = 1/5.
 ROT_KERNEL_CONST = 15.0 ** 0.2
 
+# Undersmoothing exponent delta of the CDF bandwidth rate n^(-1/5 + delta).
+DENSITY_RATE_DELTA = 0.01
+
 # Variance fits at or below this are treated as nonpositive when standardizing.
 H_EPS = 1e-12
 
@@ -223,6 +226,7 @@ def _ll_batch_1d(queries, x, y, h, strict=True):
     return _ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h, strict)
 
 
+# Kept public: tests/test_acceptance.py checks the fit through it.
 def local_linear(query, data_x, data_y, h):
     """Local-linear fit at one scalar query point: returns (level, slope
     vector of shape (1,))."""
@@ -273,17 +277,17 @@ def rot_bandwidth_regression(x, y) -> float:
     return float(np.clip(h, 1e-3 * span, span))
 
 
-def rot_bandwidth_density(x, n: int | None = None, delta: float = 0.01) -> float:
-    """Interquartile-range bandwidth 0.79 R n^(-1/5 + delta) for CDF smoothing."""
+def rot_bandwidth_density(x) -> float:
+    """Interquartile-range bandwidth 0.79 R n^(-1/5 + delta) for CDF smoothing,
+    with n the sample size and delta = DENSITY_RATE_DELTA."""
     x = np.asarray(x, dtype=float)
-    size = x.size if n is None else int(n)
-    if size < 4:
-        raise InputError(f"need at least 4 observations, got {size}")
+    if x.size < 4:
+        raise InputError(f"need at least 4 observations, got {x.size}")
     q25, q75 = np.percentile(x, [25.0, 75.0])
     r = float(q75 - q25)
     if r <= 0:
         raise InputError("interquartile range is zero (degenerate sample)")
-    return 0.79 * r * size ** (-0.2 + delta)
+    return 0.79 * r * x.size ** (-0.2 + DENSITY_RATE_DELTA)
 
 
 @dataclass
@@ -309,12 +313,7 @@ def _constant_evaluator(value: float):
     return evaluate
 
 
-def fit_location_scale(
-    series: ReturnSeries,
-    lag: int = 1,
-    h1: float | None = None,
-    h2: float | None = None,
-) -> LocationScaleFit:
+def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     """Fit m and h on lagged values and build standardized residuals.
 
     The conditioning variable is the lag-th lagged observation, so the
@@ -347,8 +346,7 @@ def fit_location_scale(
             lag=lag,
         )
 
-    if h1 is None:
-        h1 = rot_bandwidth_regression(x, y)
+    h1 = rot_bandwidth_regression(x, y)
     # One stable sort of the design serves both sample passes and every
     # later m_hat/h_hat query.
     order = np.argsort(x, kind="stable")
@@ -358,8 +356,7 @@ def fit_location_scale(
     m_at_x, _ = _ll_sorted(x, xs, ys, h1, strict=False)
     u = y - m_at_x
     u2 = u * u
-    if h2 is None:
-        h2 = rot_bandwidth_regression(x, u2)
+    h2 = rot_bandwidth_regression(x, u2)
     u2s = u2[order]
     h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False)
 

@@ -18,6 +18,8 @@ def choose_N(n: int, c: float = 0.7) -> int:
     """Tail count schedule round(c * n^0.79), clamped to [10, n/2]."""
     if n < 100:
         raise InputError(f"sample too small for the tail schedule: n={n}")
+    if not (math.isfinite(c) and c > 0):
+        raise InputError(f"tail schedule constant c must be finite and positive, got {c}")
     raw = int(math.floor(c * n**0.79 + 0.5))
     return min(max(raw, 10), n // 2)
 
@@ -130,13 +132,11 @@ def extract_tail_empirical(residuals, N: int) -> TailSample:
     return _build_sample(np.asarray(residuals, dtype=float), N, None, "empirical")
 
 
-def extract_tail(fit: LocationScaleFit, N: int, h3: float | None = None) -> TailSample:
+def extract_tail(fit: LocationScaleFit, N: int) -> TailSample:
     """Tail of the standardized first-stage residuals above the smoothed
-    a_N-quantile; h3 defaults to the interquartile-range rule on the
-    conditioning values."""
-    if h3 is None:
-        h3 = rot_bandwidth_density(fit.x)
-    return extract_tail_smoothed(fit.residuals, N, h3)
+    a_N-quantile, at the interquartile-range bandwidth of the conditioning
+    values."""
+    return extract_tail_smoothed(fit.residuals, N, rot_bandwidth_density(fit.x))
 
 
 def rethreshold(sample: TailSample, N: int) -> TailSample:

@@ -6,9 +6,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import stats
 
-from evtrisk.errors import DegenerateFitError
-from evtrisk.risk import asymptotic_ci, es_bias_term, es_eps, q_eps, q_eps_bc
+from evtrisk.errors import DegenerateFitError, PoleError
+from evtrisk.gpd import K_EXP_LIMIT, _check_pole
+from evtrisk.risk import es_bias_term, es_eps, q_eps, q_eps_bc
 from evtrisk.smoothing import _epan_weight, _nn_bandwidth
 from evtrisk.tail import empirical_quantile, smoothed_quantile
 
@@ -43,9 +45,69 @@ def gpd_mle_grid_oracle(z, step=1e-3, refine_step=1e-4):
     return s_best, k_best
 
 
+# GPD density, CDF and limit matrices.  No estimator path evaluates them;
+# they are the reference forms that gpd_quantile, gpd_mle and H_inv are
+# checked against.
+
+
+def gpd_logpdf(z, params):
+    """Log density; -inf outside the support so likelihoods stay comparable."""
+    z = np.asarray(z, dtype=float)
+    sigma, k = params.sigma, params.k
+    out = np.full(z.shape, -np.inf)
+    if abs(k) < K_EXP_LIMIT:
+        ok = z >= 0
+        out[ok] = -math.log(sigma) - z[ok] / sigma
+    else:
+        arg = 1.0 - k * z / sigma
+        ok = (z >= 0) & (arg > 0)
+        out[ok] = -math.log(sigma) + (1.0 / k - 1.0) * np.log(arg[ok])
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def gpd_cdf(z, params):
+    z = np.asarray(z, dtype=float)
+    sigma, k = params.sigma, params.k
+    if abs(k) < K_EXP_LIMIT:
+        return np.clip(1.0 - np.exp(-z / sigma), 0.0, 1.0)
+    arg = np.maximum(1.0 - k * z / sigma, 0.0)
+    return np.where(z <= 0, 0.0, 1.0 - arg ** (1.0 / k))
+
+
+def H_matrix(k):
+    """Expected GPD information matrix scaled as in the limit theory."""
+    if k >= 0.5:
+        raise PoleError("H(k) requires k < 1/2")
+    _check_pole(k, "k")
+    return (1.0 / ((1.0 - 2.0 * k) * (1.0 - k))) * np.array(
+        [[1.0 - k, -1.0], [-1.0, 2.0]]
+    )
+
+
+def V2_matrix(k):
+    if k >= 0.5:
+        raise PoleError("V2(k) requires k < 1/2")
+    _check_pole(k, "k")
+    _check_pole(k - 1.0, "k - 1")
+    return np.array(
+        [
+            [
+                (k * k - 4.0 * k + 2.0) / (2.0 * k - 1.0) ** 2,
+                -1.0 / (k * (k - 1.0)),
+            ],
+            [
+                -1.0 / (k * (k - 1.0)),
+                (2.0 * k**3 - 2.0 * k**2 + 2.0 * k - 1.0)
+                / (k**2 * (k - 1.0) ** 2 * (2.0 * k - 1.0)),
+            ],
+        ]
+    )
+
+
 def h_inv_numeric(k):
-    h = (1.0 / ((1.0 - 2.0 * k) * (1.0 - k))) * np.array([[1.0 - k, -1.0], [-1.0, 2.0]])
-    return np.linalg.inv(h)
+    return np.linalg.inv(H_matrix(k))
 
 
 def bias_correct_oracle(sigma, k_mle, k_corr, k_mom, m_n, rho):
@@ -240,13 +302,15 @@ def assembly_oracle(tail, a, m, h, bias_correction=True):
     out["cvar_bc"] = m + scale * q_b
     out["ces_bc"] = m + scale * (e_b + es_bias_term(tail, q_b, z_hat))
     out["es_eps_bc"] = e_b
-    k_ci = tail.params_bc.k
-    out["ci_cvar"] = asymptotic_ci(
-        out["cvar_bc"], "cvar", k_ci, tail.rho_hat, z_hat, tail.sample.N
-    )
-    out["ci_ces"] = asymptotic_ci(
-        out["ces_bc"], "ces", k_ci, tail.rho_hat, z_hat, tail.sample.N
-    )
+    k_ci, rho, n_tail = tail.params_bc.k, tail.rho_hat, tail.sample.N
+    z95 = stats.norm.ppf(0.975)
+    for key, est, variance in (
+        ("ci_cvar", out["cvar_bc"], sigma1_b_oracle(k_ci, rho, z_hat)),
+        ("ci_ces", out["ces_bc"], sigma3_b_oracle(k_ci, rho, z_hat)),
+    ):
+        spread = z95 * math.sqrt(variance / n_tail)
+        hi = est / (1.0 - spread) if spread < 1.0 else math.inf
+        out[key] = tuple(sorted((est / (1.0 + spread), hi)))
     return out
 
 

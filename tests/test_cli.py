@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from evtrisk.cli import main
+from evtrisk.cli import _resolve_threads, build_parser, main
+from evtrisk.errors import InputError, PoleError
+from evtrisk.risk import mse_crossover
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,7 @@ def test_estimate_from_prices(prices_csv, tmp_path):
     report = json.loads(out.read_text())
     assert report["input"]["kind"] == "losses"
     assert report["estimates"]["cvar_bc"] is None
+    assert report["mse_crossover"] is None
 
 
 def test_estimate_level_validation(returns_csv, capsys):
@@ -79,6 +82,69 @@ def test_mutually_exclusive_inputs(returns_csv, prices_csv, capsys):
 def test_unknown_flag_exits_one(returns_csv):
     code = main(["estimate", "--returns", str(returns_csv), "--bogus"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--threads", "2"],     # estimate runs in one process
+    ["mc", "--no-timestamp"],           # results.csv carries no timestamp
+])
+def test_flags_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rho", "0.5"], "--rho must be finite and negative"),
+    (["--rho", "0"], "--rho must be finite and negative"),
+    (["--rho", "nan"], "--rho must be finite and negative"),
+    (["--x", "nan"], "--x must be finite"),
+    (["--x", "inf"], "--x must be finite"),
+    (["--c", "0"], "tail schedule constant c must be finite and positive"),
+    (["--c", "-1"], "tail schedule constant c must be finite and positive"),
+])
+def test_estimate_rejects_bad_values_as_input_errors(returns_csv, capsys, flags, message):
+    code = main(["estimate", "--returns", str(returns_csv), "--no-timestamp", *flags])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_mc_design_rejects_bad_schedule_constant(tmp_path, capsys):
+    design_path = tmp_path / "design.json"
+    design_path.write_text(json.dumps({"n": 400, "c": 0.0}), encoding="utf-8")
+    code = main(["mc", "--design", str(design_path), "--reps", "2",
+                 "--threads", "1", "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    assert "tail schedule constant c" in capsys.readouterr().err
+
+
+def test_estimate_reports_mse_crossover(returns_csv, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["estimate", "--returns", str(returns_csv), "--a", "0.99",
+                 "--out", str(out), "--no-timestamp"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    c1, c2 = mse_crossover(
+        report["tail"]["k_bc"], report["tail"]["rho"], report["innovation"]["Z_hat"]
+    )
+    assert report["mse_crossover"] == {"C1": c1, "C2": c2}
+
+
+def test_estimate_crossover_pole_reports_null(returns_csv, tmp_path, monkeypatch):
+    import evtrisk.cli as cli_mod
+
+    def pole(k, rho, z):
+        raise PoleError("crossover denominator vanishes")
+
+    monkeypatch.setattr(cli_mod, "mse_crossover", pole)
+    out = tmp_path / "report.json"
+    code = main(["estimate", "--returns", str(returns_csv), "--a", "0.99",
+                 "--out", str(out), "--no-timestamp"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["mse_crossover"] is None
+    assert report["estimates"]["cvar_bc"] is not None
+    assert "MSE crossover undefined: crossover denominator vanishes" in report["warnings"]
 
 
 def test_estimate_deterministic_bytes(returns_csv, tmp_path):
@@ -217,11 +283,11 @@ def test_estimate_explicit_query_point(returns_csv, tmp_path):
     assert json.loads(out.read_text())["x"] == 0.25
 
 
-def test_env_thread_fallback(returns_csv, tmp_path, monkeypatch):
-    monkeypatch.setenv("EVTRISK_THREADS", "1")
-    out = tmp_path / "env.json"
-    code = main([
-        "estimate", "--returns", str(returns_csv), "--a", "0.99",
-        "--out", str(out), "--no-timestamp",
-    ])
-    assert code == 0
+def test_env_thread_fallback(monkeypatch):
+    for command in ("mc", "backtest"):
+        args = build_parser().parse_args([command])
+        monkeypatch.setenv("EVTRISK_THREADS", "3")
+        assert _resolve_threads(args) == 3
+        monkeypatch.setenv("EVTRISK_THREADS", "0")
+        with pytest.raises(InputError, match="--threads"):
+            _resolve_threads(args)

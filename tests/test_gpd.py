@@ -7,21 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import bias_correct_oracle, gpd_mle_grid_oracle, h_inv_numeric, rho_oracle
+from oracles import (
+    H_matrix,
+    V2_matrix,
+    bias_correct_oracle,
+    gpd_cdf,
+    gpd_logpdf,
+    gpd_mle_grid_oracle,
+    h_inv_numeric,
+    rho_oracle,
+)
 from evtrisk.errors import EstimationWarning, InputError, PoleError, TailError
 from evtrisk.gpd import (
     A_matrix,
     GpdParams,
     H_inv,
-    H_matrix,
     TailFit,
-    V2_matrix,
     Vb_matrix,
     _loglik_grad_hess,
     bias_correct_params,
     d_hat,
     fit_tail,
-    gpd_logpdf,
     gpd_mle,
     gpd_quantile,
     moment_stats,
@@ -83,8 +89,6 @@ def test_density_integrates_to_one(k):
 def test_quantile_inverts_cdf():
     params = GpdParams(0.7, -0.3)
     p = np.array([0.1, 0.5, 0.9, 0.999])
-    from evtrisk.gpd import gpd_cdf
-
     np.testing.assert_allclose(gpd_cdf(gpd_quantile(p, params), params), p, atol=1e-12)
 
 

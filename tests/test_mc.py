@@ -121,17 +121,16 @@ def test_true_risk_theta_needs_path_variance():
 
 
 def test_summarize_single_replication():
-    b, s, r, used = summarize(np.array([0.37]))
+    b, s, r = summarize(np.array([0.37]))
     assert b == pytest.approx(0.37)
     assert s == 0.0
     assert r == pytest.approx(0.37)
-    assert used == 1
 
 
 def test_summarize_rmse_identity():
     rng = np.random.default_rng(4)
     errors = rng.normal(0.2, 1.0, size=400)
-    b, s, r, _ = summarize(errors, trim=0.0)
+    b, s, r = summarize(errors, trim=0.0)
     assert r**2 == pytest.approx(b**2 + s**2, abs=1e-9)
     assert r == pytest.approx(math.sqrt(np.mean(errors**2)), abs=1e-12)
 

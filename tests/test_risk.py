@@ -246,28 +246,23 @@ def test_sigma_grid_finite_nonnegative():
 
 
 def test_ci_degenerates_at_huge_N():
-    lo, hi = asymptotic_ci(3.0, "cvar", -1 / 6, -2.0, 1.778, N=10**18)
+    lo, hi = asymptotic_ci(3.0, sigma1_b(-1 / 6, -2.0, 1.778), N=10**18)
     assert lo == pytest.approx(3.0, abs=1e-6)
     assert hi == pytest.approx(3.0, abs=1e-6)
 
 
 def test_ci_contains_estimate():
-    lo, hi = asymptotic_ci(3.0, "cvar", -1 / 6, -2.0, 1.778, N=164)
+    lo, hi = asymptotic_ci(3.0, sigma1_b(-1 / 6, -2.0, 1.778), N=164)
     assert lo <= 3.0 <= hi
-    lo, hi = asymptotic_ci(-3.0, "ces", -1 / 6, -2.0, 1.778, N=164)
+    lo, hi = asymptotic_ci(-3.0, sigma3_b(-1 / 6, -2.0, 1.778), N=164)
     assert lo <= -3.0 <= hi
 
 
 def test_ci_one_sided_when_factor_nonpositive():
     with pytest.warns(UserWarning, match="one-sided"):
-        lo, hi = asymptotic_ci(3.0, "cvar", -0.35, -2.0, 8.0, N=5)
+        lo, hi = asymptotic_ci(3.0, sigma1_b(-0.35, -2.0, 8.0), N=5)
     assert hi == math.inf
     assert lo < 3.0
-
-
-def test_ci_unknown_kind():
-    with pytest.raises(InputError):
-        asymptotic_ci(1.0, "nope", -0.2, -2.0, 2.0, N=100)
 
 
 # ---------------------------------------------------------------- crossover

@@ -199,8 +199,8 @@ def test_rot_kernel_constant():
 
 
 def test_rot_density_direct_value():
-    data = np.concatenate([np.zeros(2), np.ones(2)])  # IQR = 1
-    h = rot_bandwidth_density(data, n=1000)
+    data = np.repeat([0.0, 1.0], 500)  # n = 1000, IQR = 1
+    h = rot_bandwidth_density(data)
     assert h == pytest.approx(0.79 * 1000 ** (-0.19), rel=1e-12)
     assert h == pytest.approx(0.212631, abs=5e-7)
 
@@ -211,10 +211,11 @@ def test_rot_density_linear_in_iqr():
     assert rot_bandwidth_density(2 * x) == pytest.approx(2 * rot_bandwidth_density(x), rel=1e-12)
 
 
-def test_rot_density_delta_zero_classical_rate():
-    data = np.concatenate([np.zeros(2), np.ones(2)])
-    h = rot_bandwidth_density(data, n=512, delta=0.0)
-    assert h == pytest.approx(0.79 * 512 ** (-0.2), rel=1e-12)
+def test_rot_density_rate_at_sample_size():
+    # The rate n^(-1/5 + delta) runs on the sample's own size, delta = 0.01.
+    data = np.repeat([0.0, 1.0], 256)  # n = 512, IQR = 1
+    h = rot_bandwidth_density(data)
+    assert h == pytest.approx(0.79 * 512 ** (-0.19), rel=1e-12)
 
 
 def test_rot_density_degenerate():
