@@ -1,6 +1,17 @@
 """Rolling out-of-sample forecasting and validation tests: violation
 coverage, duration-based independence and conditional-coverage tests, and a
-one-sided bootstrap test on expected-shortfall residuals."""
+one-sided bootstrap test on expected-shortfall residuals.
+
+Each step t refits the two-stage estimator, without bias correction, on the
+length-n window ending at t and forecasts CVaR/CES for Y_{t+1}.  Every
+window has n - 1 lagged pairs, so the tail count is fixed for the run
+(`BacktestConfig.tail_count`).  A failed window carries the previous
+forecast forward.  The tests see only steps with a finite forecast.  The
+duration tests (Christoffersen & Pelletier, 2004) compare a Weibull fit of
+the gaps between violations, maximised over its shape with the scale
+profiled out, against exponential nulls with a free rate (independence) or
+rate 1 - a (conditional coverage); the first and last gaps are censored.
+"""
 
 from __future__ import annotations
 
@@ -66,13 +77,11 @@ class RollingForecasts:
 
 
 def _forecast_window(args):
-    values, t, n, N_cfg, a_levels = args
+    values, t, n, N, a_levels = args
     window = ReturnSeries(values[t - n + 1 : t + 1], kind="raw")
     try:
         fit = fit_location_scale(window, lag=1)
-        n_eff = fit.residuals.size
-        sample = extract_tail(fit, N_cfg if N_cfg is not None else choose_N(n_eff, 1.0))
-        tail = fit_tail(sample, bias_correction=False)
+        tail = fit_tail(extract_tail(fit, N), bias_correction=False)
         x = float(values[t])
         m_x = float(fit.m_hat(x))
         h_x = float(fit.h_hat(x))
@@ -97,7 +106,8 @@ def rolling_forecast(
     if values.size < cfg.m:
         raise InputError(f"series has {values.size} observations, need m={cfg.m}")
     steps = np.arange(cfg.n - 1, cfg.m - 1)
-    jobs = [(values, t, cfg.n, cfg.N, cfg.a_levels) for t in steps]
+    N = cfg.tail_count(cfg.n - 1)
+    jobs = [(values, t, cfg.n, N, cfg.a_levels) for t in steps]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(_forecast_window, jobs, chunksize=8))
@@ -156,17 +166,6 @@ def _durations(viol: np.ndarray):
         durations.append(float(viol.size - positions[-1]))
         censored.append(True)
     return np.array(durations), np.array(censored, dtype=bool)
-
-
-def _weibull_loglik(a_par: float, b: float, d: np.ndarray, cens: np.ndarray) -> float:
-    if a_par <= 0 or b <= 0:
-        return -math.inf
-    u = a_par**b
-    full = ~cens
-    ll = -u * float(np.sum(d**b))
-    ll += full.sum() * math.log(b) + (b - 1.0) * float(np.sum(np.log(d[full])))
-    ll += full.sum() * b * math.log(a_par)
-    return ll
 
 
 def _weibull_profile_loglik(b: float, d: np.ndarray, cens: np.ndarray) -> float:
@@ -241,9 +240,11 @@ def duration_tests(violations, a: float):
     if n_full == 0 or total <= 0:
         return None, None
     try:
+        # Exponential log likelihoods -lam * total + n_full * log(lam): the
+        # Weibull at shape 1, censored durations contributing survival only.
         lam = n_full / total
-        ll_exp = _weibull_loglik(lam, 1.0, d, cens)
-        ll_cc = _weibull_loglik(1.0 - a, 1.0, d, cens)
+        ll_exp = -lam * total + n_full * math.log(lam)
+        ll_cc = -(1.0 - a) * total + n_full * math.log(1.0 - a)
         _, ll_weib = _maximize_weibull(d, cens)
         if not np.isfinite(ll_weib):
             return None, None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 
 from .backtest import BacktestConfig, run_backtest
-from .errors import EstimationWarning, EvtriskError, InputError, PoleError
+from .errors import EvtriskError, InputError
 from .gpd import fit_tail
 from .ingest import ReturnSeries, load_prices, load_returns, to_returns
 from .mc import McDesign, named_design, run_experiment
@@ -88,7 +89,10 @@ def _resolve_threads(args) -> int:
         value = args.threads
     else:
         env = os.environ.get("EVTRISK_THREADS")
-        value = int(env) if env else (os.cpu_count() or 1)
+        try:
+            value = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise InputError(f"EVTRISK_THREADS must be an integer, got {env!r}") from None
     if value < 1:
         raise InputError("--threads must be at least 1")
     return value
@@ -168,11 +172,8 @@ def _cmd_estimate(args) -> int:
         crossover = None
         if tail.params_bc is not None:
             # At the plug-in point of the interval variances (see assemble).
-            try:
-                c1, c2 = mse_crossover(tail.params_bc.k, tail.rho_hat, est.Z_hat)
-                crossover = {"C1": c1, "C2": c2}
-            except PoleError as exc:
-                warnings.warn(f"MSE crossover undefined: {exc}", EstimationWarning)
+            c1, c2 = mse_crossover(tail.params_bc.k, tail.rho_hat, est.Z_hat)
+            crossover = {"C1": c1, "C2": c2}
     report = {
         "command": "estimate",
         "input": {
@@ -214,15 +215,32 @@ def _cmd_estimate(args) -> int:
 
 
 def _load_design(args) -> McDesign:
-    if args.design.endswith(".json"):
-        with open(args.design, encoding="utf-8") as fh:
+    if not args.design.endswith(".json"):
+        return named_design(args.design, args.reps, args.seed)
+    path = args.design
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.setdefault("reps", args.reps)
-        raw.setdefault("seed", args.seed)
-        if "a_levels" in raw:
-            raw["a_levels"] = tuple(raw["a_levels"])
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read design ({exc.strerror})") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON ({exc})") from None
+    fields = [f.name for f in dataclasses.fields(McDesign)]
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: a design is a JSON object with fields {fields}")
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise InputError(f"{path}: unknown design fields {unknown}; accepted: {fields}")
+    if not isinstance(raw.get("a_levels", []), list):
+        raise InputError(f"{path}: a_levels must be a JSON list of levels")
+    raw.setdefault("reps", args.reps)
+    raw.setdefault("seed", args.seed)
+    if "a_levels" in raw:
+        raw["a_levels"] = tuple(raw["a_levels"])
+    try:
         return McDesign(**raw)
-    return named_design(args.design, args.reps, args.seed)
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. "n": "1000"
+        raise InputError(f"{path}: malformed design value ({exc})") from None
 
 
 def _cmd_mc(args) -> int:

@@ -390,12 +390,11 @@ def bias_correct_params(fit: TailFit) -> GpdParams:
 def fit_tail(
     sample: TailSample,
     rho: float | None = None,
-    rho_c: float = 0.25,
     bias_correction: bool = True,
 ) -> TailFit:
     """Run the second stage on a tail sample: the GPD MLE and, with
     bias_correction, the moment statistics, second-order parameter (rho, or
-    rho_hat at rho_c when None), and bias-corrected parameters.
+    rho_hat when None), and bias-corrected parameters.
 
     The correction factors are evaluated at the moment shape (see TailFit).
     """
@@ -415,7 +414,7 @@ def fit_tail(
         return fit
     k_mom, m_n = moment_stats(sample)
     if rho is None:
-        rho = rho_hat(sample, c=rho_c)
+        rho = rho_hat(sample)
     fit.k_mom, fit.M_n, fit.k_corr = k_mom, m_n, k_mom
     fit.rho_hat, fit.d_hat = float(rho), d_hat(k_mom, rho)
     fit.params_bc = bias_correct_params(fit)

@@ -69,7 +69,11 @@ class ReturnSeries:
 
 def _read_rows(path, columns):
     """Yield (data_row_number, {col: text}) for the requested columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot open ({exc.strerror})") from None
+    with fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None:

@@ -1,13 +1,23 @@
 """Monte Carlo engine: data generation from the nonlinear location-scale
 recursion, the estimator battery (full pipeline and oracle-input
-comparators), and bias / spread / RMSE / coverage summaries."""
+comparators), and bias / spread / RMSE / coverage summaries.
+
+A design simulates Y_t = sin(Y_{t-1}/2) + h_t^{1/2} eps_t with
+h_t = h_i(Y_{t-1}) + theta h_{t-1}, variant h1(y) = 1 + 0.01 y^2 + 0.5 sin(y)
+or h2(y) = 1 - 0.9 exp(-2 y^2) (floored at H2_FLOOR), and unit-variance
+Student-t(v) innovations drawn from a counter-based stream per replication.
+`_variance_at` is the one transcription of h1/h2 and `_t_risk_std` the one
+of the innovation's quantile and tail mean.  Each replication scores both
+estimator arms against the exact conditional CVaR/CES at the path's last
+observation, built from the path's own next-step variance.
+"""
 
 from __future__ import annotations
 
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -36,7 +46,6 @@ class McDesign:
     seed: int = 0
     a_levels: tuple[float, ...] = (0.95, 0.99, 0.999)
     c: float = 0.7
-    rho_c: float = 0.25
 
     def __post_init__(self):
         if self.n < 200:
@@ -65,39 +74,25 @@ def _rng(seed: int, rep: int) -> np.random.Generator:
 
 
 def _t_std_factor(v: int) -> float:
+    """Standard deviation of t(v): dividing by it gives unit variance."""
     return math.sqrt(v / (v - 2.0))
-
-
-def t_quantile_std(a, v: int):
-    """Quantile of the unit-variance Student-t innovation."""
-    return stats.t.ppf(a, v) / _t_std_factor(v)
-
-
-def t_tail_mean_std(a: float, v: int) -> float:
-    """E[eps | eps > q(a)] for the unit-variance Student-t innovation."""
-    c = stats.t.ppf(a, v)
-    raw = stats.t.pdf(c, v) * (v + c * c) / ((v - 1.0) * (1.0 - a))
-    return raw / _t_std_factor(v)
 
 
 @functools.lru_cache(maxsize=64)
 def _t_risk_std(a: float, v: int) -> tuple[float, float]:
-    """(quantile, tail mean) of the unit-variance t innovation at level a.
+    """(quantile, tail mean E[eps | eps > quantile]) of the unit-variance
+    Student-t innovation at level a.
 
     Every replication of a design asks for the same few (a, v) pairs.
     """
-    return float(t_quantile_std(a, v)), float(t_tail_mean_std(a, v))
-
-
-def variance_fn(y, variant: str):
-    y = np.asarray(y, dtype=float)
-    if variant == "h1":
-        return 1.0 + 0.01 * y * y + 0.5 * np.sin(y)
-    return 1.0 - 0.9 * np.exp(-2.0 * y * y)
+    scale = _t_std_factor(v)
+    c = stats.t.ppf(a, v)
+    raw = stats.t.pdf(c, v) * (v + c * c) / ((v - 1.0) * (1.0 - a))
+    return float(c / scale), float(raw / scale)
 
 
 def _variance_at(y: float, variant: str) -> float:
-    """variance_fn at one float, without numpy's per-call overhead.
+    """The variance function h1 or h2 at one float.
 
     math.sin gives np.sin's values; np.exp is kept because math.exp differs
     from it in the last bit for about 5% of arguments.
@@ -117,15 +112,9 @@ class SimPath:
     h_next: float
 
 
-def _simulate(design: McDesign, rep: int = 0, innovations=None) -> SimPath:
-    total = BURN_IN + design.n
-    if innovations is None:
-        u = _rng(design.seed, rep).random(total)
-        eps = stats.t.ppf(u, design.v) / _t_std_factor(design.v)
-    else:
-        eps = np.asarray(innovations, dtype=float)
-        if eps.size != total:
-            raise InputError(f"need {total} innovations (burn-in included)")
+def _simulate(design: McDesign, rep: int = 0) -> SimPath:
+    u = _rng(design.seed, rep).random(BURN_IN + design.n)
+    eps = stats.t.ppf(u, design.v) / _t_std_factor(design.v)
     y, h = [], []
     y_prev, h_prev = 0.0, 0.0
     for e in eps.tolist():
@@ -144,21 +133,14 @@ def _simulate(design: McDesign, rep: int = 0, innovations=None) -> SimPath:
 
 
 # Kept public: scripts/run_synthetic_backtest.py simulates its series with it.
-def simulate_dgp(design: McDesign, rep: int = 0, innovations=None) -> ReturnSeries:
+def simulate_dgp(design: McDesign, rep: int = 0) -> ReturnSeries:
     """Generate one sample from the design (burn-in discarded)."""
-    return ReturnSeries(_simulate(design, rep, innovations).y, kind="raw")
+    return ReturnSeries(_simulate(design, rep).y, kind="raw")
 
 
-def true_risk(design: McDesign, x: float, a: float, h_next: float | None = None):
-    """Exact conditional quantile and shortfall at query x.
-
-    For theta = 0 the conditional variance is the closed form h_i(x); for
-    theta > 0 pass the next-step variance known along the simulated path.
-    """
-    if h_next is None:
-        if design.theta != 0.0:
-            raise InputError("theta != 0 needs the path variance h_next")
-        h_next = float(variance_fn(x, design.variant))
+def true_risk(design: McDesign, x: float, a: float, h_next: float):
+    """Exact conditional quantile and shortfall at query x, the path's last
+    observation, whose next-step variance along the path is h_next."""
     scale = math.sqrt(h_next)
     m = math.sin(0.5 * x)
     q_eps, e_eps = _t_risk_std(a, design.v)
@@ -181,7 +163,7 @@ def _record(records: dict, arm: str, design: McDesign, tail_fit, estimates, h_ne
     records[("sigma_N", bc, None)] = (tail_fit.params_bc.sigma, sigma_n_true, None)
     records[("k0", bc, None)] = (tail_fit.params_bc.k, design.k0, None)
     for est in estimates:
-        q_true, e_true = true_risk(design, est.x, est.a, h_next=h_next)
+        q_true, e_true = true_risk(design, est.x, est.a, h_next)
         records[("cvar", arm, est.a)] = (est.cvar, q_true, None)
         records[("ces", arm, est.a)] = (est.ces, e_true, None)
         records[("cvar", bc, est.a)] = (
@@ -201,7 +183,7 @@ def _replicate(design: McDesign, rep: int) -> dict:
     series = ReturnSeries(path.y, kind="raw")
     fit = fit_location_scale(series, lag=1)
     N = choose_N(fit.residuals.size, design.c)
-    tail_fit = fit_tail(extract_tail(fit, N), rho_c=design.rho_c)
+    tail_fit = fit_tail(extract_tail(fit, N))
     _record(records, "pipeline", design, tail_fit,
             [estimate_at(fit, tail_fit, a, x_query) for a in design.a_levels],
             path.h_next)
@@ -209,7 +191,7 @@ def _replicate(design: McDesign, rep: int) -> dict:
     # Oracle-input comparator: true innovations, empirical threshold,
     # true mean and variance in the conditional assembly.
     o_sample = extract_tail_empirical(path.eps, choose_N(path.eps.size, design.c))
-    o_fit = fit_tail(o_sample, rho_c=design.rho_c)
+    o_fit = fit_tail(o_sample)
     m_true = math.sin(0.5 * x_query)
     _record(records, "oracle", design, o_fit,
             [assemble(o_fit, a, x_query, m_true, path.h_next) for a in design.a_levels],
@@ -245,7 +227,6 @@ class McResult:
     rows: list[McRow]
     n_failures: int
     failures: list[tuple[int, str]]
-    truths: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 def _trimmed_errors(errors: np.ndarray, fraction: float = TRIM_FRACTION) -> np.ndarray:
@@ -285,16 +266,11 @@ def run_experiment(design: McDesign, threads: int = 1) -> McResult:
             f"{len(failures)}/{design.reps} replications failed ({detail} ...)"
         )
 
-    keys: list = []
-    for _, rec in successes:
-        for key in rec:
-            if key not in keys:
-                keys.append(key)
-
+    # Every replication records the same keys in the same order (_record).
     rows = []
     r_by_key = {}
-    for key in keys:
-        triples = [rec[key] for _, rec in successes if key in rec]
+    for key in successes[0][1]:
+        triples = [rec[key] for _, rec in successes]
         errors = np.array([est - true for est, true, _ in triples])
         b, s, r = summarize(errors)
         covered = [cov for _, _, cov in triples if cov is not None]
@@ -315,18 +291,11 @@ def run_experiment(design: McDesign, threads: int = 1) -> McResult:
         best = min(group)
         row.rel_R = row.R / best if best > 0 else math.nan
 
-    truths = {}
-    for a in design.a_levels:
-        key = ("cvar", "pipeline", a)
-        truths[a] = np.array(
-            [[rec[key][1], rec[("ces", "pipeline", a)][1]] for _, rec in successes]
-        )
     return McResult(
         design=design,
         rows=rows,
         n_failures=len(failures),
         failures=failures,
-        truths=truths,
     )
 
 

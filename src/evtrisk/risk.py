@@ -247,21 +247,24 @@ def mse_crossover(k: float, rho: float, z: float):
     |mu| above C1 (resp. C2) means bias correction lowers the asymptotic MSE
     of the conditional quantile (resp. shortfall) estimator.  Entries are
     None when the corrected variance is below the uncorrected one, in which
-    case correction always wins.
+    case correction always wins, and NaN, with a warning naming the
+    constant, when its denominator vanishes.
     """
     s1, s1b = sigma1(k, z), sigma1_b(k, rho, z)
     s2, s3b = sigma2(k, z), sigma3_b(k, rho, z)
 
-    def constant(gap, factor):
+    def constant(name, gap, factor):
         if gap < 0:
             return None
         denom = -k * abs(factor)
         if abs(denom) < 1e-12:
-            raise PoleError("crossover denominator vanishes")
+            warnings.warn(f"MSE crossover {name} undefined: crossover denominator vanishes",
+                          EstimationWarning)
+            return math.nan
         return math.sqrt(gap) / denom
 
-    c1 = constant(s1b - s1, _mu1_factor(k, rho, z))
-    c2 = constant(s3b - s2, _mu2_factor(k, rho, z))
+    c1 = constant("C1", s1b - s1, _mu1_factor(k, rho, z))
+    c2 = constant("C2", s3b - s2, _mu2_factor(k, rho, z))
     return c1, c2
 
 

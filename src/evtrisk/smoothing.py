@@ -43,12 +43,6 @@ DENSITY_RATE_DELTA = 0.01
 H_EPS = 1e-12
 
 
-def _epan_weight(u):
-    """Epanechnikov weight 0.75 (1 - u^2) on |u| <= 1, zero outside."""
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-
-
 def _epan_integrated(u):
     """Antiderivative of the Epanechnikov weight, rising from 0 at -1 to 1 at 1."""
     u = np.asarray(u, dtype=float)

@@ -11,7 +11,7 @@ from scipy import stats
 from evtrisk.errors import DegenerateFitError, PoleError
 from evtrisk.gpd import K_EXP_LIMIT, _check_pole
 from evtrisk.risk import es_bias_term, es_eps, q_eps, q_eps_bc
-from evtrisk.smoothing import _epan_weight, _nn_bandwidth
+from evtrisk.smoothing import _nn_bandwidth
 from evtrisk.tail import empirical_quantile, smoothed_quantile
 
 
@@ -351,6 +351,12 @@ def rho_oracle(residuals, N, c, h3, threshold_kind):
     return min(max(raw, -20.0), -0.05)
 
 
+def epan_weight(u):
+    """Epanechnikov weight 0.75 (1 - u^2) on |u| <= 1, zero outside."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
 def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
     """The dense local-linear fit the windowed power-sum path replaced: the
     kernel evaluated at all n points for every query, in chunks of queries,
@@ -362,7 +368,7 @@ def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
     for start in range(0, queries.size, chunk):
         q = queries[start : start + chunk]
         xc = x[None, :] - q[:, None]
-        w = _epan_weight(xc / h)
+        w = epan_weight(xc / h)
         npos = np.count_nonzero(w > 0.0, axis=1)
         s0 = w.sum(axis=1)
         s1 = (w * xc).sum(axis=1)
@@ -408,3 +414,29 @@ def local_linear_exact(q, x, y, h):
                 t[k] += w * e**k * Fraction(yi)
     det = s[0] * s[2] - s[1] ** 2
     return float((s[2] * t[0] - s[1] * t[1]) / det), float((s[0] * t[1] - s[1] * t[0]) / det)
+
+
+def variance_fn(y, variant):
+    """The simulation design's variance functions h1 and h2, vectorized."""
+    y = np.asarray(y, dtype=float)
+    if variant == "h1":
+        return 1.0 + 0.01 * y * y + 0.5 * np.sin(y)
+    return 1.0 - 0.9 * np.exp(-2.0 * y * y)
+
+
+def mean_recursion(y_prev, h, eps):
+    """The design's observation equation y_t = sin(y_{t-1}/2) + sqrt(h_t) eps_t."""
+    return np.sin(0.5 * np.asarray(y_prev)) + np.sqrt(h) * eps
+
+
+def weibull_loglik(a_par, b, d, cens):
+    """Censored Weibull log likelihood of durations d at scale a_par and shape
+    b: censored durations contribute the survival term only."""
+    if a_par <= 0 or b <= 0:
+        return -math.inf
+    u = a_par**b
+    full = ~cens
+    ll = -u * float(np.sum(d**b))
+    ll += full.sum() * math.log(b) + (b - 1.0) * float(np.sum(np.log(d[full])))
+    ll += full.sum() * b * math.log(a_par)
+    return ll

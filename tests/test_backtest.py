@@ -9,7 +9,7 @@ from evtrisk.backtest import (
     BacktestConfig,
     _durations,
     _forecast_window,
-    _weibull_loglik,
+    _maximize_weibull,
     _weibull_profile_loglik,
     _weibull_profile_score,
     coverage_test,
@@ -20,6 +20,7 @@ from evtrisk.backtest import (
 )
 from evtrisk.errors import EstimationWarning, EvtriskError, InputError
 from evtrisk.ingest import ReturnSeries
+from oracles import weibull_loglik
 from test_mc import fail_first_call
 
 
@@ -93,14 +94,29 @@ def test_duration_lr_matches_grid_oracle():
     ll_weib = -np.inf
     for b in np.linspace(0.05, 10.0, 8000):
         a = (n_unc / np.sum(d**b)) ** (1.0 / b)
-        ll_weib = max(ll_weib, _weibull_loglik(a, b, d, cens))
+        ll_weib = max(ll_weib, weibull_loglik(a, b, d, cens))
     ll_exp = max(
-        _weibull_loglik(a, 1.0, d, cens) for a in np.linspace(1e-4, 0.5, 20000)
+        weibull_loglik(a, 1.0, d, cens) for a in np.linspace(1e-4, 0.5, 20000)
     )
     t_ind_oracle = max(2 * (ll_weib - ll_exp), 0.0)
     p_oracle = stats.chi2.sf(t_ind_oracle, 1)
     p_ind, _ = duration_tests(viol, 0.95)
     assert p_ind == pytest.approx(p_oracle, abs=1e-3)
+
+
+def test_duration_nulls_are_the_weibull_at_shape_one():
+    # The closed-form exponential nulls reproduce the censored Weibull
+    # likelihood at shape 1 bit for bit, so the p-values are exact.
+    rng = np.random.default_rng(8)
+    for p, a in ((0.02, 0.99), (0.05, 0.95), (0.2, 0.95), (0.01, 0.995)):
+        viol = rng.random(600) < p
+        d, cens = _durations(viol)
+        n_full = int((~cens).sum())
+        ll_weib = _maximize_weibull(d, cens)[1]
+        t_ind = max(2.0 * (ll_weib - weibull_loglik(n_full / float(d.sum()), 1.0, d, cens)), 0.0)
+        t_cc = max(2.0 * (ll_weib - weibull_loglik(1.0 - a, 1.0, d, cens)), 0.0)
+        expected = (float(stats.chi2.sf(t_ind, 1)), float(stats.chi2.sf(t_cc, 2)))
+        assert duration_tests(viol, a) == expected
 
 
 def test_weibull_profile_score_matches_central_difference():
@@ -268,7 +284,7 @@ def test_linalg_error_fails_one_window(monkeypatch, name, category):
     cfg = BacktestConfig(m=330, n=300, a_levels=(0.95,))
     error = np.linalg.LinAlgError("injected")
     fail_first_call(monkeypatch, np.linalg, name, error)
-    _, out, _, message = _forecast_window((values, 299, 300, None, (0.95,)))
+    _, out, _, message = _forecast_window((values, 299, 300, cfg.tail_count(299), (0.95,)))
     assert out is None
     assert message.startswith(f"{category}: ") and "injected" in message
     fail_first_call(monkeypatch, np.linalg, name, error)

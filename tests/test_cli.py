@@ -1,11 +1,13 @@
 import json
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
 
 from evtrisk.cli import _resolve_threads, build_parser, main
-from evtrisk.errors import InputError, PoleError
+from evtrisk.errors import InputError
 from evtrisk.risk import mse_crossover
 
 
@@ -130,21 +132,29 @@ def test_estimate_reports_mse_crossover(returns_csv, tmp_path):
     assert report["mse_crossover"] == {"C1": c1, "C2": c2}
 
 
-def test_estimate_crossover_pole_reports_null(returns_csv, tmp_path, monkeypatch):
-    import evtrisk.cli as cli_mod
+def _perfbench_gen():
+    # Compiled in memory: nothing is written next to the benchmark's files.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    module = types.ModuleType("perfbench_gen")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
-    def pole(k, rho, z):
-        raise PoleError("crossover denominator vanishes")
 
-    monkeypatch.setattr(cli_mod, "mse_crossover", pole)
+def test_estimate_crossover_pole_reports_nan(tmp_path):
+    # At rho = -1 the C1 factor is a rounding residue (0/0), while C2 is
+    # well defined: only C1 is reported undefined.
+    values = _perfbench_gen().simulate_returns(7, 2000, 3) / 0.01
+    data = tmp_path / "returns.csv"
+    data.write_text("return\n" + "\n".join(repr(float(v)) for v in values), encoding="utf-8")
     out = tmp_path / "report.json"
-    code = main(["estimate", "--returns", str(returns_csv), "--a", "0.99",
-                 "--out", str(out), "--no-timestamp"])
+    code = main(["estimate", "--returns", str(data), "--N", "150", "--rho", "-1.0",
+                 "--a", "0.995", "--out", str(out), "--no-timestamp"])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["mse_crossover"] is None
-    assert report["estimates"]["cvar_bc"] is not None
-    assert "MSE crossover undefined: crossover denominator vanishes" in report["warnings"]
+    assert report["mse_crossover"]["C1"] == "nan"
+    assert report["mse_crossover"]["C2"] == pytest.approx(11.94, abs=0.01)
+    assert "MSE crossover C1 undefined: crossover denominator vanishes" in report["warnings"]
+    assert not any(w.startswith("MSE crossover C2") for w in report["warnings"])
 
 
 def test_estimate_deterministic_bytes(returns_csv, tmp_path):
@@ -291,3 +301,29 @@ def test_env_thread_fallback(monkeypatch):
         monkeypatch.setenv("EVTRISK_THREADS", "0")
         with pytest.raises(InputError, match="--threads"):
             _resolve_threads(args)
+
+
+@pytest.mark.parametrize("argv_tail, design_text, env", [
+    (["estimate", "--returns", "{tmp}/nope.csv"], None, None),
+    (["mc", "--design", "{tmp}/nope.json"], None, None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "thetaa": 0.1}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "rho_c": 0.25}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"a_levels": 0.95}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"n": "1000"}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '[1, 2]', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v"', None),
+    (["mc", "--design", "table1", "--reps", "1"], None, "abc"),
+], ids=["missing-returns", "missing-design", "unknown-field", "rho_c-field",
+        "scalar-levels", "string-value", "not-object", "truncated", "env-threads"])
+def test_bad_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
+                                               argv_tail, design_text, env):
+    if design_text is not None:
+        (tmp_path / "bad.json").write_text(design_text, encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("EVTRISK_THREADS", env)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv_tail]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

