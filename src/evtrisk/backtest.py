@@ -87,7 +87,7 @@ def _forecast_window(args):
         h_x = float(fit.h_hat(x))
         out = {}
         for a in a_levels:
-            est = assemble(tail, a, x, m_x, h_x, bias_correction=False)
+            est = assemble(tail, a, x, m_x, h_x)
             out[a] = (est.cvar, est.ces)
         return t, out, math.sqrt(h_x), None
     except EvtriskError as exc:

@@ -68,8 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="Monte Carlo replication study")
     mc.add_argument("--design", default="table1",
                     help="named design (table1, table23, table4) or a JSON file")
-    mc.add_argument("--reps", type=int, default=200)
+    mc.add_argument("--reps", type=int, default=None,
+                    help="replications (default: the design's)")
     _add_common_flags(mc, threads=True, timestamp=False)
+    # An unset --reps or --seed keeps the design's value: a design file's,
+    # else McDesign's default.
+    mc.set_defaults(seed=None)
 
     bt = sub.add_parser("backtest", help="rolling out-of-sample validation")
     _add_input_flags(bt)
@@ -167,8 +171,7 @@ def _cmd_estimate(args) -> int:
         tail = fit_tail(sample, rho=rho_flag,
                         bias_correction=not args.no_bias_correction)
         x = float(series.values[-1]) if x_flag is None else x_flag
-        est = estimate_at(fit, tail, args.a, x,
-                          bias_correction=not args.no_bias_correction)
+        est = estimate_at(fit, tail, args.a, x)
         crossover = None
         if tail.params_bc is not None:
             # At the plug-in point of the interval variances (see assemble).
@@ -215,8 +218,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _load_design(args) -> McDesign:
+    flags = {name: value for name, value in (("reps", args.reps), ("seed", args.seed))
+             if value is not None}
     if not args.design.endswith(".json"):
-        return named_design(args.design, args.reps, args.seed)
+        return dataclasses.replace(named_design(args.design), **flags)
     path = args.design
     try:
         with open(path, encoding="utf-8") as fh:
@@ -233,8 +238,7 @@ def _load_design(args) -> McDesign:
         raise InputError(f"{path}: unknown design fields {unknown}; accepted: {fields}")
     if not isinstance(raw.get("a_levels", []), list):
         raise InputError(f"{path}: a_levels must be a JSON list of levels")
-    raw.setdefault("reps", args.reps)
-    raw.setdefault("seed", args.seed)
+    raw.update(flags)
     if "a_levels" in raw:
         raw["a_levels"] = tuple(raw["a_levels"])
     try:

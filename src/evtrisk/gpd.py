@@ -25,6 +25,7 @@ RHO_CLAMP = (-20.0, -0.05)
 RHO_FALLBACK = -2.0     # heavy-tail anchor used when the log argument degenerates
 MLE_MAX_ITER = 200      # Newton iterations before the MLE gives up
 MLE_GRAD_TOL = 1e-9     # sup-norm of the gradient accepted as converged
+RHO_C = 0.25            # rho_hat's enlarged tail counts: round(c N log n) at c = RHO_C, RHO_C/2
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,10 @@ def moment_stats(tail: TailSample):
     return _log_moments(tail.exceedances + tail.q_tilde, tail.q_tilde)
 
 
-def rho_hat(sample: TailSample, c: float = 0.25) -> float:
+def rho_hat(sample: TailSample) -> float:
     """Second-order parameter estimate from the log-moment statistics of the
     sample's residuals at two enlarged tail counts N(c) = round(c N log n)
-    and N(c/2), each thresholded by the sample's own rule (see
+    and N(c/2), c = RHO_C, each thresholded by the sample's own rule (see
     tail.rethreshold); clamped to [-20, -0.05].
 
     Falls back to -2 (the heavy-tail anchor) when the log argument is
@@ -222,11 +223,12 @@ def rho_hat(sample: TailSample, c: float = 0.25) -> float:
     """
     n = sample.n
     counts = []
-    for label, cc in (("c", c), ("c/2", c / 2.0)):
+    for label, cc in (("c", RHO_C), ("c/2", RHO_C / 2.0)):
         count = int(math.floor(cc * sample.N * math.log(n) + 0.5))
         if count >= n:
             raise InputError(
-                f"enlarged tail count N({label})={count} reaches the sample size; use a smaller c"
+                f"enlarged tail count N({label})={count} reaches the sample size n={n}; "
+                f"use a smaller tail count than N={sample.N}"
             )
         counts.append(max(count, 10))
     moments = []
@@ -347,13 +349,17 @@ class TailFit:
     The second-order fields (k_mom, M_n, rho_hat, d_hat, k_corr) feed only
     the bias corrections; without them they and params_bc are None.
 
-    k_corr is the shape at which every second-order correction factor is
-    evaluated.  The limit statements write these factors at the maximum
-    likelihood shape (all shape estimators coincide asymptotically), but a
-    usable finite-sample correction must plug in the same moment-scale shape
-    that generated the M_n - 2 k_mom^2 statistic; with the likelihood shape
-    the k^4 factor in d collapses and the correction explodes.  fit_tail
-    sets k_corr to the moment shape, matching the reported simulations.
+    k_corr is the shape at which bias_correct_params evaluates its
+    second-order factors, and d_hat is d at that shape.  The limit
+    statements write these factors at the maximum likelihood shape (all
+    shape estimators coincide asymptotically), but a usable finite-sample
+    parameter correction must plug in the same moment-scale shape that
+    generated the M_n - 2 k_mom^2 statistic; with the likelihood shape the
+    k^4 factor in d collapses and the correction explodes.  fit_tail sets
+    k_corr to the moment shape, matching the reported simulations.  The
+    corrections downstream of the parameters (risk.q_eps_bc,
+    risk.es_bias_term, risk.sigma3_b) evaluate d at the corrected shape
+    params_bc.k instead.
     """
 
     params: GpdParams
@@ -396,7 +402,9 @@ def fit_tail(
     bias_correction, the moment statistics, second-order parameter (rho, or
     rho_hat when None), and bias-corrected parameters.
 
-    The correction factors are evaluated at the moment shape (see TailFit).
+    The parameter correction evaluates its factors at the moment shape
+    k_corr; the corrected risk estimators evaluate theirs at the corrected
+    shape (see TailFit).
     """
     params, loglik = gpd_mle(sample)
     fit = TailFit(

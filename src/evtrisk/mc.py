@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -133,9 +133,9 @@ def _simulate(design: McDesign, rep: int = 0) -> SimPath:
 
 
 # Kept public: scripts/run_synthetic_backtest.py simulates its series with it.
-def simulate_dgp(design: McDesign, rep: int = 0) -> ReturnSeries:
-    """Generate one sample from the design (burn-in discarded)."""
-    return ReturnSeries(_simulate(design, rep).y, kind="raw")
+def simulate_dgp(design: McDesign) -> ReturnSeries:
+    """Generate the design's first replication sample (burn-in discarded)."""
+    return ReturnSeries(_simulate(design).y, kind="raw")
 
 
 def true_risk(design: McDesign, x: float, a: float, h_next: float):
@@ -229,16 +229,11 @@ class McResult:
     failures: list[tuple[int, str]]
 
 
-def _trimmed_errors(errors: np.ndarray, fraction: float = TRIM_FRACTION) -> np.ndarray:
-    cut = int(math.floor(fraction * errors.size))
-    if cut == 0:
-        return np.sort(errors)
-    return np.sort(errors)[cut:-cut]
-
-
-def summarize(errors: np.ndarray, trim: float = TRIM_FRACTION):
-    """Bias, spread, RMSE after symmetric trimming; R^2 = B^2 + S^2 exactly."""
-    kept = _trimmed_errors(errors, trim)
+def summarize(errors: np.ndarray):
+    """Bias, spread, RMSE after trimming TRIM_FRACTION of the errors from
+    each end; R^2 = B^2 + S^2 exactly."""
+    cut = int(math.floor(TRIM_FRACTION * errors.size))
+    kept = np.sort(errors)[cut:errors.size - cut]
     b = float(kept.mean())
     s = float(kept.std(ddof=0))
     return b, s, math.hypot(b, s)
@@ -311,9 +306,9 @@ NAMED_DESIGNS = {
 }
 
 
-def named_design(name: str, reps: int, seed: int) -> McDesign:
+def named_design(name: str) -> McDesign:
     if name not in NAMED_DESIGNS:
         raise InputError(
             f"unknown design {name!r}; choose from {sorted(NAMED_DESIGNS)} or a JSON file"
         )
-    return replace(NAMED_DESIGNS[name], reps=reps, seed=seed)
+    return NAMED_DESIGNS[name]

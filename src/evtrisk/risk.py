@@ -316,32 +316,19 @@ class RiskEstimate:
     sigma3_b: float | None = None
 
 
-def estimate_at(
-    fit: LocationScaleFit,
-    tail: TailFit,
-    a: float,
-    x: float,
-    bias_correction: bool = True,
-) -> RiskEstimate:
+def estimate_at(fit: LocationScaleFit, tail: TailFit, a: float, x: float) -> RiskEstimate:
     """Conditional CVaR and CES at query x from the fitted location and
     scale; see assemble."""
-    return assemble(tail, a, x, float(fit.m_hat(x)), float(fit.h_hat(x)),
-                    bias_correction=bias_correction)
+    return assemble(tail, a, x, float(fit.m_hat(x)), float(fit.h_hat(x)))
 
 
-def assemble(
-    tail: TailFit,
-    a: float,
-    x: float,
-    m_x: float,
-    h_x: float,
-    bias_correction: bool = True,
-) -> RiskEstimate:
+def assemble(tail: TailFit, a: float, x: float, m_x: float, h_x: float) -> RiskEstimate:
     """Assemble conditional CVaR and CES at query x for one target level
     from the location m_x and variance h_x at x.
 
-    Uncorrected estimates are always produced; bias-corrected estimates,
-    intervals, and variances are added unless disabled.  Variance
+    Uncorrected estimates are always produced.  The tail fit decides the
+    rest: bias-corrected estimates, intervals, and variances are added
+    exactly when it carries corrected parameters (params_bc).  Variance
     expressions are evaluated at the corrected shape and the estimated
     second-order parameter, with Z_hat plugged in for the growth constant.
     """
@@ -356,7 +343,7 @@ def assemble(
         q_eps=qe, es_eps=ee,
         cvar=m_x + scale * qe, ces=m_x + scale * ee,
     )
-    if not bias_correction:
+    if tail.params_bc is None:
         return out
 
     q_bc, b_q, z_hat = q_eps_bc(a, tail)

@@ -208,18 +208,6 @@ def _ll_sorted(queries, xs, ys, h, strict=True):
     return levels, slopes
 
 
-def _ll_batch_1d(queries, x, y, h, strict=True):
-    """Vectorized scalar-covariate local-linear fit at many query points.
-
-    With strict=False, queries whose local design is degenerate at
-    bandwidth h are refit with the bandwidth widened to cover the nearest
-    neighbors instead of raising.
-    """
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
-    return _ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h, strict)
-
-
 # Kept public: tests/test_acceptance.py checks the fit through it.
 def local_linear(query, data_x, data_y, h):
     """Local-linear fit at one scalar query point: returns (level, slope
@@ -227,8 +215,9 @@ def local_linear(query, data_x, data_y, h):
     if h <= 0:
         raise InputError(f"bandwidth must be positive, got {h}")
     x = np.asarray(data_x, dtype=float)
-    y = np.asarray(data_y, dtype=float)
-    levels, slopes = _ll_batch_1d(float(query), x, y, h)
+    order = np.argsort(x, kind="stable")
+    ys = np.asarray(data_y, dtype=float)[order]
+    levels, slopes = _ll_sorted(float(query), x[order], ys, h)
     return float(levels[0]), np.array([slopes[0]])
 
 
@@ -298,21 +287,15 @@ class LocationScaleFit:
     lag: int = 1
 
 
-def _constant_evaluator(value: float):
-    def evaluate(q):
-        q = np.asarray(q, dtype=float)
-        out = np.full(q.shape, value)
-        return float(out) if out.ndim == 0 else out
-
-    return evaluate
-
-
 def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     """Fit m and h on lagged values and build standardized residuals.
 
     The conditioning variable is the lag-th lagged observation, so the
     effective sample drops the first ``lag`` points.  Residuals are set to
-    exactly 0 wherever the variance fit is nonpositive (below 1e-12).
+    exactly 0 wherever the variance fit is nonpositive (below 1e-12).  A
+    constant series has no scale to standardize by and is rejected as
+    input; a constant covariate under a varying response is a degenerate
+    fit.
     """
     if lag < 1:
         raise InputError("lag must be a positive integer")
@@ -324,21 +307,9 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     y = values[lag:]
 
     if np.ptp(x) == 0.0:
-        if np.ptp(y) != 0.0:
-            raise DegenerateFitError("conditioning values are all equal")
-        # Constant series: perfect fit with zero variance everywhere; the
-        # residual rule then maps every point to 0.
-        level = float(y.mean())
-        return LocationScaleFit(
-            x=x,
-            y=y,
-            h1=1.0,
-            h2=1.0,
-            residuals=np.zeros(n_eff),
-            m_hat=_constant_evaluator(level),
-            h_hat=_constant_evaluator(0.0),
-            lag=lag,
-        )
+        if np.ptp(y) == 0.0:
+            raise InputError(f"series is constant: all {values.size} values are equal")
+        raise DegenerateFitError("conditioning values are all equal")
 
     h1 = rot_bandwidth_regression(x, y)
     # One stable sort of the design serves both sample passes and every

@@ -24,15 +24,12 @@ def choose_N(n: int, c: float = 0.7) -> int:
     return min(max(raw, 10), n // 2)
 
 
-def smoothed_cdf(u, residuals, h3: float):
-    """Kernel-smoothed empirical CDF of the residuals evaluated at u."""
+def smoothed_cdf(u: float, residuals, h3: float) -> float:
+    """Kernel-smoothed empirical CDF of the residuals at the point u."""
     if h3 <= 0:
         raise InputError("CDF bandwidth must be positive")
     residuals = np.asarray(residuals, dtype=float)
-    if np.isscalar(u):
-        return float(np.mean(_epan_integrated((u - residuals) / h3)))
-    u = np.asarray(u, dtype=float)
-    return np.mean(_epan_integrated((u[..., None] - residuals) / h3), axis=-1)
+    return float(np.mean(_epan_integrated((float(u) - residuals) / h3)))
 
 
 def smoothed_quantile(a: float, residuals, h3: float) -> float:

@@ -286,16 +286,17 @@ def crossover_oracle(k, rho, z):
     return c1, c2
 
 
-def assembly_oracle(tail, a, m, h, bias_correction=True):
+def assembly_oracle(tail, a, m, h):
     """Second transcription of the conditional CVaR/CES assembly at location
     m and variance h: the innovation estimators are recombined by hand, with
-    ratio-form 95% intervals at the corrected shape."""
+    ratio-form 95% intervals at the corrected shape when the tail fit
+    carries corrected parameters."""
     scale = math.sqrt(h)
     out = {
         "cvar": m + scale * q_eps(a, tail),
         "ces": m + scale * es_eps(a, tail),
     }
-    if not bias_correction:
+    if tail.params_bc is None:
         return out
     q_b, _, z_hat = q_eps_bc(a, tail)
     e_b = q_b / (1.0 + tail.params_bc.k)

@@ -6,8 +6,9 @@ import types
 import numpy as np
 import pytest
 
-from evtrisk.cli import _resolve_threads, build_parser, main
+from evtrisk.cli import _load_design, _resolve_threads, build_parser, main
 from evtrisk.errors import InputError
+from evtrisk.mc import McDesign
 from evtrisk.risk import mse_crossover
 
 
@@ -189,6 +190,47 @@ def test_mc_custom_design_threads_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
     header = outputs[0].decode().splitlines()[0]
     assert header == "n,variant,theta,v,reps,seed,c,a,target,estimator,B,S,R,rel_R,ECP"
+
+
+@pytest.mark.parametrize("design, flags, reps, seed", [
+    # An explicit flag wins over the file ...
+    ({"n": 200, "reps": 2, "a_levels": [0.95]}, ["--reps", "50"], 50, 0),
+    ({"n": 200, "reps": 2, "seed": 9}, ["--seed", "0"], 2, 0),
+    # ... and a file value over McDesign's default.
+    ({"n": 200, "reps": 2, "seed": 9}, [], 2, 9),
+    ({"n": 200}, [], McDesign().reps, McDesign().seed),
+    ("table1", [], McDesign().reps, McDesign().seed),
+    ("table1", ["--reps", "5", "--seed", "3"], 5, 3),
+])
+def test_mc_flags_override_design_values(tmp_path, design, flags, reps, seed):
+    if isinstance(design, dict):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(design), encoding="utf-8")
+        design = str(path)
+    resolved = _load_design(build_parser().parse_args(["mc", "--design", design, *flags]))
+    assert (resolved.reps, resolved.seed) == (reps, seed)
+
+
+def test_mc_reps_flag_reaches_results(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"n": 200, "reps": 2, "a_levels": [0.95]}), encoding="utf-8")
+    out = tmp_path / "results.csv"
+    code = main(["mc", "--design", str(path), "--reps", "3", "--threads", "1",
+                 "--out", str(out)])
+    assert code == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(row.split(",")[4] == "3" for row in rows)
+
+
+@pytest.mark.parametrize("values, code, message", [
+    ([0.5] * 300, 1, "error: series is constant: all 300 values are equal"),
+    ([0.5] * 299 + [0.7], 2, "numerical failure: conditioning values are all equal"),
+], ids=["constant", "constant-covariate"])
+def test_estimate_flat_series_exit_codes(tmp_path, capsys, values, code, message):
+    data = tmp_path / "returns.csv"
+    data.write_text("return\n" + "\n".join(repr(v) for v in values), encoding="utf-8")
+    assert main(["estimate", "--returns", str(data), "--no-timestamp"]) == code
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_mc_unknown_design(tmp_path):

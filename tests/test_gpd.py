@@ -191,8 +191,10 @@ def test_rho_enlarged_count_schedule():
 def test_rho_count_reaching_sample_errors():
     rng = np.random.default_rng(3)
     res = rng.standard_t(6, size=300)
-    with pytest.raises(InputError, match="smaller c"):
-        rho_hat(extract_tail_empirical(res, 200), c=5.0)
+    # round(0.25 * 250 * ln 300) = 356 >= 300
+    with pytest.raises(InputError, match=r"N\(c\)=356 reaches the sample size n=300; "
+                       r"use a smaller tail count than N=250"):
+        rho_hat(extract_tail_empirical(res, 250))
 
 
 def test_rho_identical_stats_clamped(monkeypatch):
@@ -231,7 +233,7 @@ def test_rho_student_t6_statistical():
     N = int(math.floor(0.7 * n**0.79 + 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        value = rho_hat(extract_tail_empirical(res, N), c=0.25)
+        value = rho_hat(extract_tail_empirical(res, N))
     assert abs(value - (-2.0)) <= 1.2
 
 
@@ -247,7 +249,7 @@ def test_rho_matches_oracle_bitwise(kind):
         sample = extract_tail_empirical(res, 150)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        value = rho_hat(sample, c=0.25)
+        value = rho_hat(sample)
         expect = rho_oracle(res, 150, 0.25, sample.h3, kind)
     assert value == expect
 

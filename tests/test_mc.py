@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from evtrisk.errors import InputError
 from evtrisk.mc import (
+    TRIM_FRACTION,
     McDesign,
     _simulate,
     _t_risk_std,
@@ -129,9 +131,12 @@ def test_summarize_single_replication():
 def test_summarize_rmse_identity():
     rng = np.random.default_rng(4)
     errors = rng.normal(0.2, 1.0, size=400)
-    b, s, r = summarize(errors, trim=0.0)
+    b, s, r = summarize(errors)
+    cut = int(TRIM_FRACTION * errors.size)  # 10 of 400 from each end
+    kept = np.sort(errors)[cut:-cut]
+    assert b == pytest.approx(kept.mean(), abs=1e-12)
     assert r**2 == pytest.approx(b**2 + s**2, abs=1e-9)
-    assert r == pytest.approx(math.sqrt(np.mean(errors**2)), abs=1e-12)
+    assert r == pytest.approx(math.sqrt(np.mean(kept**2)), abs=1e-12)
 
 
 def test_trimming_robustness():
@@ -201,7 +206,7 @@ def test_linalg_error_fails_one_replication(monkeypatch, name, category):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # 21 table1-style replications, none of which fails on its own
-        result = run_experiment(named_design("table1", reps=21, seed=0), threads=1)
+        result = run_experiment(replace(named_design("table1"), reps=21, seed=0), threads=1)
     assert result.n_failures == 1
     rep, message = result.failures[0]
     assert rep == 0
@@ -209,10 +214,10 @@ def test_linalg_error_fails_one_replication(monkeypatch, name, category):
 
 
 def test_named_designs():
-    design = named_design("table1", reps=7, seed=3)
-    assert design.v == 3 and design.reps == 7 and design.seed == 3
+    design = named_design("table1")
+    assert design.v == 3 and (design.reps, design.seed) == (McDesign().reps, McDesign().seed)
     with pytest.raises(InputError):
-        named_design("table9", reps=1, seed=0)
+        named_design("table9")
 
 
 def test_simulate_reproducible_per_rep():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -36,7 +37,7 @@ from evtrisk.risk import (
     sigma3_b,
 )
 from evtrisk.smoothing import LocationScaleFit, fit_location_scale
-from evtrisk.tail import TailSample
+from evtrisk.tail import TailSample, choose_N, extract_tail
 
 
 def tail_fixture(sigma=0.5, k=-0.25, q_tilde=2.0, n=1000, N=100,
@@ -332,8 +333,8 @@ def test_estimate_at_affine_assembly():
         residuals=np.zeros(50),
         m_hat=lambda q: 0.1, h_hat=lambda q: 4.0,
     )
-    tail = tail_fixture(sigma=0.5, k=-0.25)
-    est = estimate_at(fit, tail, a=0.995, x=0.0, bias_correction=False)
+    tail = dataclasses.replace(tail_fixture(sigma=0.5, k=-0.25), params_bc=None)
+    est = estimate_at(fit, tail, a=0.995, x=0.0)
     assert est.cvar == pytest.approx(0.1 + 2.0 * est.q_eps)
     assert est.ces == pytest.approx(0.1 + 2.0 * est.es_eps)
 
@@ -351,18 +352,21 @@ ASSEMBLY_GRID = [
 
 
 @pytest.mark.parametrize("params", ASSEMBLY_GRID)
-@pytest.mark.parametrize("bias_correction", [True, False])
-def test_assemble_matches_oracle(params, bias_correction):
+@pytest.mark.parametrize("corrected", [True, False])
+def test_assemble_matches_oracle(params, corrected):
+    # The tail fit decides the correction: an uncorrected tail has no params_bc.
     tail = tail_fixture(**params)
+    if not corrected:
+        tail = dataclasses.replace(tail, params_bc=None)
     for a in (0.95, 0.99, 0.999):
         for m, h in ((0.0, 1.0), (0.3, 2.5), (-1.2, 0.04)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                est = assemble(tail, a, 0.7, m, h, bias_correction=bias_correction)
-                want = assembly_oracle(tail, a, m, h, bias_correction)
+                est = assemble(tail, a, 0.7, m, h)
+                want = assembly_oracle(tail, a, m, h)
             assert est.cvar == pytest.approx(want["cvar"], rel=1e-12)
             assert est.ces == pytest.approx(want["ces"], rel=1e-12)
-            if not bias_correction:
+            if not corrected:
                 assert est.cvar_bc is None and est.ci_cvar is None
                 continue
             assert est.cvar_bc == pytest.approx(want["cvar_bc"], rel=1e-12)
@@ -372,6 +376,24 @@ def test_assemble_matches_oracle(params, bias_correction):
                                 (est.ci_ces, want["ci_ces"])):
                 assert got[0] == pytest.approx(expect[0], rel=1e-12)
                 assert got[1] == pytest.approx(expect[1], rel=1e-12)
+
+
+def test_estimate_at_uncorrected_tail_fit():
+    # The tail fit alone decides the correction: an uncorrected fit yields the
+    # uncorrected estimates, the same as beside a corrected fit, and no more.
+    values = np.random.default_rng(91).standard_t(6, size=1000) / math.sqrt(6 / 4)
+    fit = fit_location_scale(ReturnSeries(values, kind="raw"))
+    sample = extract_tail(fit, choose_N(fit.residuals.size))
+    x = float(values[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plain = estimate_at(fit, fit_tail(sample, bias_correction=False), 0.99, x)
+        full = estimate_at(fit, fit_tail(sample, rho=-2.0), 0.99, x)
+    assert full.cvar_bc is not None
+    assert (plain.cvar, plain.ces) == (full.cvar, full.ces)
+    assert plain.cvar_bc is None and plain.ces_bc is None
+    assert plain.ci_cvar is None and plain.ci_ces is None
+    assert plain.Z_hat is None and plain.sigma1_b is None
 
 
 def test_estimate_at_nonpositive_variance():
@@ -403,11 +425,8 @@ def test_affine_equivariance_full_pipeline():
         for alpha in (1.0, 2.0):
             series = ReturnSeries(alpha * values, kind="raw")
             fit = fit_location_scale(series)
-            from evtrisk.tail import choose_N, extract_tail
-
             sample = extract_tail(fit, choose_N(fit.residuals.size))
-            tail = fit_tail(sample, rho=-2.0)
-            outs[alpha] = estimate_at(fit, tail, a=0.99, x=alpha * values[-1],
-                                      bias_correction=False)
+            tail = fit_tail(sample, bias_correction=False)
+            outs[alpha] = estimate_at(fit, tail, a=0.99, x=alpha * values[-1])
     assert outs[2.0].cvar == pytest.approx(2.0 * outs[1.0].cvar, rel=0.05)
     assert outs[2.0].ces == pytest.approx(2.0 * outs[1.0].ces, rel=0.05)

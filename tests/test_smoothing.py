@@ -1,6 +1,7 @@
 import pathlib
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from evtrisk.mc import _simulate, named_design
 from evtrisk.smoothing import (
     ROT_KERNEL_CONST,
     _epan_integrated,
-    _ll_batch_1d,
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,
@@ -241,11 +241,12 @@ def test_fit_location_scale_recovers_unit_noise():
 
 
 def test_fit_location_scale_constant_series():
-    y = ReturnSeries(np.full(64, 3.25), kind="raw")
-    fit = fit_location_scale(y)
-    assert fit.m_hat(3.25) == pytest.approx(3.25)
-    assert fit.h_hat(3.25) == 0.0
-    assert np.all(fit.residuals == 0.0)
+    # A flat series is rejected as input; a flat covariate under a moving
+    # response (only the last value differs) is a degenerate fit.
+    with pytest.raises(InputError, match="series is constant: all 64 values are equal"):
+        fit_location_scale(ReturnSeries(np.full(64, 3.25), kind="raw"))
+    with pytest.raises(DegenerateFitError, match="conditioning values are all equal"):
+        fit_location_scale(ReturnSeries(np.append(np.full(63, 3.25), 3.5), kind="raw"))
 
 
 def test_fit_location_scale_zero_where_h_nonpositive():
@@ -301,18 +302,27 @@ def _load_gen():
     return module
 
 
-def _run(fit, queries, x, y, h, strict):
+def windowed_fit(queries, x, y, h, strict):
+    """The windowed fit as fit_location_scale runs it: on the design sorted
+    once by covariate."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    return smoothing._ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h, strict)
+
+
+def _run(module, fit, queries, x, y, h, strict):
     """(levels, slopes) or the DegenerateFitError message, plus the queries
-    whose bandwidth was widened, in the order they were widened."""
+    whose bandwidth was widened, in the order they were widened; `module`
+    holds the _nn_bandwidth that `fit` calls."""
     widened = []
-    original = fit.__globals__["_nn_bandwidth"]
+    original = module._nn_bandwidth
 
     def recording(q, data, bandwidth):
         widened.append(float(q))
         return original(q, data, bandwidth)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(fit.__globals__, "_nn_bandwidth", recording)
+        mp.setattr(module, "_nn_bandwidth", recording)
         try:
             result = fit(queries, x, y, h, strict=strict)
         except DegenerateFitError as exc:
@@ -323,8 +333,8 @@ def _run(fit, queries, x, y, h, strict):
 def assert_matches_dense(queries, x, y, h, strict=False, tol=1e-10):
     """The windowed fit agrees with the dense oracle: levels and slopes within
     tol * max|dense|, the same widened queries and the same errors."""
-    fast, fast_widened = _run(_ll_batch_1d, queries, x, y, h, strict)
-    dense, dense_widened = _run(oracles.local_linear_dense, queries, x, y, h, strict)
+    fast, fast_widened = _run(smoothing, windowed_fit, queries, x, y, h, strict)
+    dense, dense_widened = _run(oracles, oracles.local_linear_dense, queries, x, y, h, strict)
     np.testing.assert_array_equal(fast_widened, dense_widened)
     if isinstance(dense, str):
         assert fast == dense
@@ -345,7 +355,7 @@ def assert_stage_one_matches_dense(values):
     u2 = (y - m_dense) ** 2
     h2 = rot_bandwidth_regression(x, u2)
     h_dense, _ = assert_matches_dense(x, x, u2, h2)
-    h_fast, _ = _ll_batch_1d(x, x, u2, h2, strict=False)
+    h_fast, _ = windowed_fit(x, x, u2, h2, strict=False)
     positive = h_dense > 0
     np.testing.assert_allclose(h_fast[positive], h_dense[positive], rtol=1e-9, atol=0.0)
 
@@ -357,7 +367,7 @@ def test_windowed_fit_matches_dense_on_benchmark_series(n, v):
 
 @pytest.mark.parametrize("name, seed", [("table1", 3), ("table4", 4)])
 def test_windowed_fit_matches_dense_on_mc_paths(name, seed):
-    design = named_design(name, reps=3, seed=seed)
+    design = replace(named_design(name), reps=3, seed=seed)
     for rep in range(design.reps):
         assert_stage_one_matches_dense(_simulate(design, rep).y)
 
@@ -414,7 +424,7 @@ def test_windowed_fit_queries_outside_data():
     # (against exact rational arithmetic); the windowed ones do not.
     far = np.array([-5.0, 5.0])
     assert_matches_dense(far, x, y, 0.2, tol=1e-9)
-    levels, slopes = _ll_batch_1d(far, x, y, 0.2, strict=False)
+    levels, slopes = windowed_fit(far, x, y, 0.2, strict=False)
     for q, level, slope in zip(far, levels, slopes):
         exact = oracles.local_linear_exact(q, x, y, smoothing._nn_bandwidth(q, x, 0.2))
         np.testing.assert_allclose([level, slope], exact, rtol=1e-12)

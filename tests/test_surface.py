@@ -3,11 +3,13 @@ private function of its modules, is read somewhere outside its own
 definition, in the package, the experiment scripts or the acceptance suite;
 a private function may instead be a layer boundary the benchmark's tracer
 patches (perfbench/spans.py TARGETS).  A helper only unit tests call
-belongs in tests/oracles.py.
+belongs in tests/oracles.py.  Every parameter with a default is passed by
+some call there or in the benchmark; one no caller sets is a constant.
 
 The files are parsed, not imported, so no test module is loaded."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,11 +59,58 @@ def traced_targets():
     raise AssertionError("perfbench/spans.py defines no TARGETS")
 
 
-def names_read_anywhere():
+def caller_files():
+    """Package modules, experiment scripts and the acceptance suite."""
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += sorted((ROOT / "scripts").glob("*.py"))
     sources.append(ROOT / "tests" / "test_acceptance.py")
-    return set().union(*(names_read(p) for p in sources))
+    return sources
+
+
+def names_read_anywhere():
+    return set().union(*(names_read(p) for p in caller_files()))
+
+
+def default_parameters():
+    """(module.function, function, parameter, position) for every parameter
+    of a package function that has a default; position counts the arguments
+    a caller writes (a method's self excluded) and is None for a
+    keyword-only parameter."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            spec = node.args
+            positional = spec.posonlyargs + spec.args
+            if id(node) in methods:
+                positional = positional[1:]
+            first = len(positional) - len(spec.defaults)
+            qualname = f"{path.stem}.{node.name}"
+            found += [(qualname, node.name, arg.arg, i)
+                      for i, arg in enumerate(positional[first:], first)]
+            found += [(qualname, node.name, arg.arg, None)
+                      for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def calls_by_name():
+    """Per called name: the keywords passed and the most positional arguments
+    written before any *-unpacking, over the caller files and perfbench/*.py."""
+    keywords, positional = defaultdict(set), defaultdict(int)
+    for path in caller_files() + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords[name].update(k.arg for k in node.keywords)
+            written = next((i for i, arg in enumerate(node.args)
+                            if isinstance(arg, ast.Starred)), len(node.args))
+            positional[name] = max(positional[name], written)
+    return keywords, positional
 
 
 def test_every_export_has_a_caller():
@@ -78,3 +127,13 @@ def test_every_private_function_has_a_caller():
         if name not in read and (module, name) not in traced
     ]
     assert unread == []
+
+
+def test_every_default_parameter_is_passed():
+    keywords, positional = calls_by_name()
+    unpassed = [
+        f"{qualname}({param})"
+        for qualname, name, param, index in default_parameters()
+        if param not in keywords[name] and (index is None or positional[name] <= index)
+    ]
+    assert unpassed == []

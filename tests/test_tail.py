@@ -76,8 +76,8 @@ def test_smoothed_cdf_monotone_random_pairs():
     pairs = rng.uniform(-4, 4, size=(1000, 2))
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    f_lo = smoothed_cdf(lo, res, 0.3)
-    f_hi = smoothed_cdf(hi, res, 0.3)
+    f_lo = np.array([smoothed_cdf(u, res, 0.3) for u in lo])
+    f_hi = np.array([smoothed_cdf(u, res, 0.3) for u in hi])
     assert np.all(f_hi >= f_lo - 1e-12)
 
 
