@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -255,7 +255,7 @@ def duration_tests(violations, a: float):
         return None, None
 
 
-def es_bootstrap_test(exceed_residuals, B_boot: int = 9999, seed: int = 0):
+def es_bootstrap_test(exceed_residuals, B_boot: int, seed: int):
     """One-sided bootstrap test that the shortfall residuals have mean zero
     against mean > 0 (shortfall underestimation).
 
@@ -297,7 +297,7 @@ class LevelReport:
     t_ind_p: float | None
     t_cc_p: float | None
     es_p: float | None
-    violation_steps: list[int] = field(default_factory=list)
+    violation_steps: list[int]
 
 
 @dataclass

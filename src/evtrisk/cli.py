@@ -36,7 +36,6 @@ def _add_input_flags(parser):
 
 
 def _add_common_flags(parser, threads: bool, timestamp: bool):
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", metavar="FILE", default=None)
     if threads:
         parser.add_argument("--threads", type=int, default=None,
@@ -63,25 +62,29 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--rho", default="auto",
                      help="second-order parameter: number or 'auto'")
     est.add_argument("--no-bias-correction", action="store_true")
+    est.add_argument("--seed", type=int, help="ignored: the estimator draws no random numbers")
     _add_common_flags(est, threads=False, timestamp=True)
 
     mc = sub.add_parser("mc", help="Monte Carlo replication study")
     mc.add_argument("--design", default="table1",
                     help="named design (table1, table23, table4) or a JSON file")
-    mc.add_argument("--reps", type=int, default=None,
-                    help="replications (default: the design's)")
-    _add_common_flags(mc, threads=True, timestamp=False)
     # An unset --reps or --seed keeps the design's value: a design file's,
     # else McDesign's default.
-    mc.set_defaults(seed=None)
+    mc.add_argument("--reps", type=int, default=None,
+                    help="replications (default: the design's)")
+    mc.add_argument("--seed", type=int, default=None,
+                    help="simulation seed (default: the design's)")
+    _add_common_flags(mc, threads=True, timestamp=False)
 
+    # An unset flag keeps BacktestConfig's default.
     bt = sub.add_parser("backtest", help="rolling out-of-sample validation")
     _add_input_flags(bt)
-    bt.add_argument("--m", type=int, default=1500, help="total observations used")
-    bt.add_argument("--n", type=int, default=1000, help="rolling window length")
-    bt.add_argument("--a", default="0.95,0.99,0.995", help="comma-separated levels")
+    bt.add_argument("--m", type=int, default=None, help="total observations used")
+    bt.add_argument("--n", type=int, default=None, help="rolling window length")
+    bt.add_argument("--a", default=None, help="comma-separated levels")
     bt.add_argument("--N", default="auto", help="tail count: integer or 'auto'")
-    bt.add_argument("--B-boot", type=int, default=9999, dest="b_boot")
+    bt.add_argument("--B-boot", type=int, default=None, dest="b_boot")
+    bt.add_argument("--seed", type=int, default=None, help="bootstrap seed")
     bt.add_argument("--dump-forecasts", metavar="FILE", default=None,
                     help="write per-step forecast CSV (date, return, cvar, ces)")
     _add_common_flags(bt, threads=True, timestamp=True)
@@ -138,11 +141,6 @@ def _write_report(report: dict, args) -> None:
         print(text)
 
 
-def _validate_level(a: float) -> None:
-    if not 0.0 < a < 1.0:
-        raise InputError("level must be in (0,1)")
-
-
 def _parse_or_auto(text, kind, flag, sentinel="auto"):
     if text == sentinel:
         return None
@@ -153,7 +151,8 @@ def _parse_or_auto(text, kind, flag, sentinel="auto"):
 
 
 def _cmd_estimate(args) -> int:
-    _validate_level(args.a)
+    if not 0.0 < args.a < 1.0:
+        raise InputError("level must be in (0,1)")
     n_flag = _parse_or_auto(args.N, int, "--N")
     rho_flag = _parse_or_auto(args.rho, float, "--rho")
     if rho_flag is not None and not (math.isfinite(rho_flag) and rho_flag < 0):
@@ -247,6 +246,18 @@ def _load_design(args) -> McDesign:
         raise InputError(f"{path}: malformed design value ({exc})") from None
 
 
+def _backtest_config(args) -> BacktestConfig:
+    """The configuration of the flags given: BacktestConfig alone holds the
+    defaults of the flags left out and checks every value."""
+    try:
+        levels = None if args.a is None else tuple(float(part) for part in args.a.split(","))
+    except ValueError:
+        raise InputError(f"cannot parse levels {args.a!r}") from None
+    given = {"m": args.m, "n": args.n, "a_levels": levels, "N": _parse_or_auto(args.N, int, "--N"),
+             "seed": args.seed, "B_boot": args.b_boot}
+    return BacktestConfig(**{name: value for name, value in given.items() if value is not None})
+
+
 def _cmd_mc(args) -> int:
     design = _load_design(args)
     threads = _resolve_threads(args)
@@ -299,21 +310,8 @@ def _suffixed(path: str, a: float) -> str:
 
 
 def _cmd_backtest(args) -> int:
-    try:
-        levels = tuple(float(part) for part in args.a.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse levels {args.a!r}") from None
-    for a in levels:
-        _validate_level(a)
+    cfg = _backtest_config(args)
     series, dates = _load_series(args)
-    cfg = BacktestConfig(
-        m=args.m,
-        n=args.n,
-        a_levels=levels,
-        N=_parse_or_auto(args.N, int, "--N"),
-        seed=args.seed,
-        B_boot=args.b_boot,
-    )
     threads = _resolve_threads(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

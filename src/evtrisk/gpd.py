@@ -370,7 +370,7 @@ class TailFit:
     d_hat: float | None
     sample: TailSample
     loglik: float
-    k_corr: float | None = 0.0
+    k_corr: float | None
 
 
 def bias_correct_params(fit: TailFit) -> GpdParams:

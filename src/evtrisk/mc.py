@@ -25,7 +25,9 @@ from scipy import stats
 from .errors import ConvergenceError, EvtriskError, InputError
 from .gpd import fit_tail
 from .ingest import ReturnSeries
-from .risk import assemble, estimate_at
+from .risk import assemble
+# Kept importable: perfbench/spans.py patches evtrisk.mc.estimate_at by name.
+from .risk import estimate_at  # noqa: F401
 from .smoothing import fit_location_scale
 from .tail import choose_N, extract_tail, extract_tail_empirical
 
@@ -152,24 +154,25 @@ def true_risk(design: McDesign, x: float, a: float, h_next: float):
 # true mean, variance, and innovations (the benchmark construction).
 
 
-def _record(records: dict, arm: str, design: McDesign, tail_fit, estimates, h_next):
+def _record(records: dict, arm: str, design: McDesign, tail_fit, x, m_x, h_x, h_next):
     """Rows of one estimator arm and its "_bc" twin: the four parameter rows,
-    then four rows per level of `estimates` (RiskEstimates at the path's
-    query point, in level order)."""
+    then four rows per design level, assembled at the path's query point x
+    from the arm's location m_x and variance h_x there."""
     bc = arm + "_bc"
     sigma_n_true = -design.k0 * _t_risk_std(tail_fit.sample.a_N, design.v)[0]
     records[("sigma_N", arm, None)] = (tail_fit.params.sigma, sigma_n_true, None)
     records[("k0", arm, None)] = (tail_fit.params.k, design.k0, None)
     records[("sigma_N", bc, None)] = (tail_fit.params_bc.sigma, sigma_n_true, None)
     records[("k0", bc, None)] = (tail_fit.params_bc.k, design.k0, None)
-    for est in estimates:
-        q_true, e_true = true_risk(design, est.x, est.a, h_next)
-        records[("cvar", arm, est.a)] = (est.cvar, q_true, None)
-        records[("ces", arm, est.a)] = (est.ces, e_true, None)
-        records[("cvar", bc, est.a)] = (
+    for a in design.a_levels:
+        est = assemble(tail_fit, a, x, m_x, h_x)
+        q_true, e_true = true_risk(design, x, a, h_next)
+        records[("cvar", arm, a)] = (est.cvar, q_true, None)
+        records[("ces", arm, a)] = (est.ces, e_true, None)
+        records[("cvar", bc, a)] = (
             est.cvar_bc, q_true, est.ci_cvar[0] <= q_true <= est.ci_cvar[1],
         )
-        records[("ces", bc, est.a)] = (
+        records[("ces", bc, a)] = (
             est.ces_bc, e_true, est.ci_ces[0] <= e_true <= est.ci_ces[1],
         )
 
@@ -184,18 +187,15 @@ def _replicate(design: McDesign, rep: int) -> dict:
     fit = fit_location_scale(series, lag=1)
     N = choose_N(fit.residuals.size, design.c)
     tail_fit = fit_tail(extract_tail(fit, N))
-    _record(records, "pipeline", design, tail_fit,
-            [estimate_at(fit, tail_fit, a, x_query) for a in design.a_levels],
-            path.h_next)
+    _record(records, "pipeline", design, tail_fit, x_query,
+            float(fit.m_hat(x_query)), float(fit.h_hat(x_query)), path.h_next)
 
     # Oracle-input comparator: true innovations, empirical threshold,
     # true mean and variance in the conditional assembly.
     o_sample = extract_tail_empirical(path.eps, choose_N(path.eps.size, design.c))
     o_fit = fit_tail(o_sample)
-    m_true = math.sin(0.5 * x_query)
-    _record(records, "oracle", design, o_fit,
-            [assemble(o_fit, a, x_query, m_true, path.h_next) for a in design.a_levels],
-            path.h_next)
+    _record(records, "oracle", design, o_fit, x_query,
+            math.sin(0.5 * x_query), path.h_next, path.h_next)
     return records
 
 

@@ -44,12 +44,11 @@ def q_eps(a: float, tail: TailFit) -> float:
     return _extrapolation(tail.sample.q_tilde, tail.params.sigma, tail.params.k, ratio)
 
 
-def es_eps(a: float, tail: TailFit) -> float:
-    """Innovation expected shortfall q(a) / (1 + k)."""
-    k = tail.params.k
+def es_eps(q: float, k: float) -> float:
+    """Innovation expected shortfall q / (1 + k) from the tail quantile q."""
     if k <= -1.0:
         raise TailError("expected shortfall undefined (k <= -1)")
-    return q_eps(a, tail) / (1.0 + k)
+    return q / (1.0 + k)
 
 
 def q_eps_bc(a: float, tail: TailFit):
@@ -317,8 +316,12 @@ class RiskEstimate:
 
 
 def estimate_at(fit: LocationScaleFit, tail: TailFit, a: float, x: float) -> RiskEstimate:
-    """Conditional CVaR and CES at query x from the fitted location and
-    scale; see assemble."""
+    """Conditional CVaR and CES at query x for the one level a, from the
+    fitted location and scale; see assemble.
+
+    A harness that assembles several levels at one point asks m_hat and
+    h_hat once and calls assemble per level instead.
+    """
     return assemble(tail, a, x, float(fit.m_hat(x)), float(fit.h_hat(x)))
 
 
@@ -337,7 +340,7 @@ def assemble(tail: TailFit, a: float, x: float, m_x: float, h_x: float) -> RiskE
     scale = math.sqrt(h_x)
 
     qe = q_eps(a, tail)
-    ee = es_eps(a, tail)
+    ee = es_eps(qe, tail.params.k)
     out = RiskEstimate(
         a=a, x=x, m_x=m_x, h_x=h_x,
         q_eps=qe, es_eps=ee,
@@ -348,9 +351,7 @@ def assemble(tail: TailFit, a: float, x: float, m_x: float, h_x: float) -> RiskE
 
     q_bc, b_q, z_hat = q_eps_bc(a, tail)
     k_b = tail.params_bc.k
-    if k_b <= -1.0:
-        raise TailError("expected shortfall undefined (k <= -1)")
-    e_bc = q_bc / (1.0 + k_b)
+    e_bc = es_eps(q_bc, k_b)
     b_e = es_bias_term(tail, q_bc, z_hat)
     out.q_eps_bc, out.es_eps_bc = q_bc, e_bc
     out.B_q, out.B_E, out.Z_hat = b_q, b_e, z_hat

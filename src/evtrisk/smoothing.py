@@ -284,7 +284,18 @@ class LocationScaleFit:
     residuals: np.ndarray
     m_hat: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     h_hat: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    lag: int = 1
+
+
+def _evaluator(xs, ys, h):
+    """Local-linear curve of ys on the sorted design xs at bandwidth h, as a
+    function of query points: a float for a scalar query, else an array."""
+
+    def curve(q):
+        scalar = np.isscalar(q)
+        levels, _ = _ll_sorted(q, xs, ys, h, strict=False)
+        return float(levels[0]) if scalar else levels
+
+    return curve
 
 
 def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
@@ -331,17 +342,7 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     residuals = np.zeros(n_eff)
     residuals[positive] = u[positive] / np.sqrt(h_at_x[positive])
 
-    def m_hat(q):
-        scalar = np.isscalar(q)
-        levels, _ = _ll_sorted(q, xs, ys, h1, strict=False)
-        return float(levels[0]) if scalar else levels
-
-    def h_hat(q):
-        scalar = np.isscalar(q)
-        levels, _ = _ll_sorted(q, xs, u2s, h2, strict=False)
-        return float(levels[0]) if scalar else levels
-
     return LocationScaleFit(
-        x=x, y=y, h1=float(h1), h2=float(h2),
-        residuals=residuals, m_hat=m_hat, h_hat=h_hat, lag=lag,
+        x=x, y=y, h1=float(h1), h2=float(h2), residuals=residuals,
+        m_hat=_evaluator(xs, ys, h1), h_hat=_evaluator(xs, u2s, h2),
     )

@@ -43,7 +43,6 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
     hi = float(residuals.max()) + 10.0 * h3
     if smoothed_cdf(lo, residuals, h3) > a or smoothed_cdf(hi, residuals, h3) < a:
         raise TailError(f"no bracket for smoothed quantile at level {a}")
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = smoothed_cdf(mid, residuals, h3)
@@ -75,8 +74,8 @@ class TailSample:
     q_tilde: float
     N_s: int
     exceedances: np.ndarray
-    h3: float | None = None
-    threshold_kind: str = "smoothed"
+    h3: float | None
+    threshold_kind: str
 
 
 def empirical_quantile(values_sorted, a: float) -> float:
@@ -88,7 +87,7 @@ def empirical_quantile(values_sorted, a: float) -> float:
     return float(values_sorted[idx - 1])
 
 
-def _build_sample(residuals, N, h3, kind, residuals_sorted=None) -> TailSample:
+def _build_sample(residuals, N, h3, kind) -> TailSample:
     """The only place the threshold rule is decided: exceedances over the
     a_N = 1 - N/n quantile, the order statistic for kind "empirical", else
     the smoothed quantile at bandwidth h3.  The smoothed CDF averages over
@@ -96,8 +95,7 @@ def _build_sample(residuals, N, h3, kind, residuals_sorted=None) -> TailSample:
     n = residuals.size
     if not 0 < N < n:
         raise InputError(f"tail count N={N} must satisfy 0 < N < n={n}")
-    if residuals_sorted is None:
-        residuals_sorted = np.sort(residuals)
+    residuals_sorted = np.sort(residuals)
     a_N = 1.0 - N / n
     if kind == "empirical":
         q_tilde = empirical_quantile(residuals_sorted, a_N)
@@ -139,5 +137,4 @@ def extract_tail(fit: LocationScaleFit, N: int) -> TailSample:
 def rethreshold(sample: TailSample, N: int) -> TailSample:
     """The same residuals' tail at tail count N, under the sample's own
     threshold rule."""
-    srt = sample.residuals_sorted
-    return _build_sample(srt, N, sample.h3, sample.threshold_kind, srt)
+    return _build_sample(sample.residuals_sorted, N, sample.h3, sample.threshold_kind)

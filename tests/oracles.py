@@ -10,7 +10,7 @@ from scipy import stats
 
 from evtrisk.errors import DegenerateFitError, PoleError
 from evtrisk.gpd import K_EXP_LIMIT, _check_pole
-from evtrisk.risk import es_bias_term, es_eps, q_eps, q_eps_bc
+from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
 from evtrisk.smoothing import _nn_bandwidth
 from evtrisk.tail import empirical_quantile, smoothed_quantile
 
@@ -294,7 +294,7 @@ def assembly_oracle(tail, a, m, h):
     scale = math.sqrt(h)
     out = {
         "cvar": m + scale * q_eps(a, tail),
-        "ces": m + scale * es_eps(a, tail),
+        "ces": m + scale * q_eps(a, tail) / (1.0 + tail.params.k),
     }
     if tail.params_bc is None:
         return out

@@ -6,6 +6,8 @@ import types
 import numpy as np
 import pytest
 
+from evtrisk import cli
+from evtrisk.backtest import BacktestConfig
 from evtrisk.cli import _load_design, _resolve_threads, build_parser, main
 from evtrisk.errors import InputError
 from evtrisk.mc import McDesign
@@ -268,6 +270,33 @@ def test_backtest_cli_smoke_and_determinism(tmp_path):
     lines = forecasts[0].decode().splitlines()
     assert lines[0] == "date,return,cvar,ces"
     assert len(lines) == 101
+
+
+@pytest.mark.parametrize("flags, fields", [
+    ([], {}),
+    (["--m", "2000"], {"m": 2000}),
+    (["--n", "500"], {"n": 500}),
+    (["--a", "0.99,0.999"], {"a_levels": (0.99, 0.999)}),
+    (["--N", "50"], {"N": 50}),
+    (["--B-boot", "99"], {"B_boot": 99}),
+    (["--seed", "7"], {"seed": 7}),
+])
+def test_backtest_flags_resolve_over_config_defaults(flags, fields):
+    # An omitted flag takes BacktestConfig's default; a given one wins.
+    args = build_parser().parse_args(["backtest", "--returns", "r.csv", *flags])
+    assert cli._backtest_config(args) == BacktestConfig(**fields)
+
+
+@pytest.mark.parametrize("input_flag", ["--returns", "--prices"])
+def test_backtest_level_checked_before_input_read(tmp_path, capsys, input_flag):
+    # The configuration is checked first: a missing file still gets the
+    # level error.
+    data = tmp_path / "r.csv"
+    if input_flag == "--returns":
+        data.write_text("return\n0.1\n0.2\n", encoding="utf-8")
+    code = main(["backtest", input_flag, str(data), "--a", "0.95,1.5"])
+    assert code == 1
+    assert "level 1.5 outside (0,1)" in capsys.readouterr().err
 
 
 def test_backtest_level_parse_error(tmp_path):

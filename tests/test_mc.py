@@ -7,10 +7,12 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from evtrisk import mc
 from evtrisk.errors import InputError
 from evtrisk.mc import (
     TRIM_FRACTION,
     McDesign,
+    _replicate,
     _simulate,
     _t_risk_std,
     named_design,
@@ -211,6 +213,31 @@ def test_linalg_error_fails_one_replication(monkeypatch, name, category):
     rep, message = result.failures[0]
     assert rep == 0
     assert message.startswith(f"{category}: ") and "injected" in message
+
+
+def test_replication_evaluates_each_curve_once(monkeypatch):
+    # m(x) and h(x) do not depend on the level: one table1 replication
+    # (three levels) evaluates each fitted curve once at the query point.
+    calls = {"m_hat": 0, "h_hat": 0}
+    fit_location_scale = mc.fit_location_scale
+
+    def counting(name, curve):
+        def counted(q):
+            calls[name] += 1
+            return curve(q)
+        return counted
+
+    def fit_counted(*args, **kwargs):
+        fit = fit_location_scale(*args, **kwargs)
+        return replace(fit, m_hat=counting("m_hat", fit.m_hat),
+                       h_hat=counting("h_hat", fit.h_hat))
+
+    monkeypatch.setattr(mc, "fit_location_scale", fit_counted)
+    design = named_design("table1")
+    records = _replicate(design, 0)
+    assert len(design.a_levels) == 3
+    assert len(records) == 8 + 2 * 4 * len(design.a_levels)
+    assert calls == {"m_hat": 1, "h_hat": 1}
 
 
 def test_named_designs():

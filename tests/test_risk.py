@@ -101,7 +101,7 @@ def test_q_eps_gpd_stack_oracle():
     q_true = q0 + sigma0 / k0 * (1 - ((n / N) * (1 - a)) ** k0)
     assert q_eps(a, fit) == pytest.approx(q_true, rel=0.03)
     es_true = q_true / (1 + k0)
-    assert es_eps(a, fit) == pytest.approx(es_true, rel=0.03)
+    assert es_eps(q_eps(a, fit), fit.params.k) == pytest.approx(es_true, rel=0.03)
 
 
 def test_q_eps_small_k_matches_log_limit():
@@ -130,21 +130,21 @@ def test_es_eps_k_zero_equals_q():
     fit = tail_fixture()
     fit.params = GpdParams(0.5, 0.0)
     a = 0.99
-    assert es_eps(a, fit) == pytest.approx(q_eps(a, fit))
+    assert es_eps(q_eps(a, fit), fit.params.k) == pytest.approx(q_eps(a, fit))
 
 
 def test_es_eps_division():
     fit = tail_fixture(sigma=0.5, k=-0.25, q_tilde=2.0)
     a = 1 - 0.1 * fit.sample.N / fit.sample.n
-    assert es_eps(a, fit) == pytest.approx(3.556559 / 0.75, abs=1e-5)
-    assert es_eps(a, fit) == pytest.approx(4.742079, abs=1e-5)
+    assert es_eps(q_eps(a, fit), fit.params.k) == pytest.approx(3.556559 / 0.75, abs=1e-5)
+    assert es_eps(q_eps(a, fit), fit.params.k) == pytest.approx(4.742079, abs=1e-5)
 
 
 def test_es_eps_undefined_below_minus_one():
     fit = tail_fixture()
     fit.params = GpdParams(0.5, -1.05)
     with pytest.raises(TailError, match="undefined"):
-        es_eps(0.99, fit)
+        es_eps(q_eps(0.99, fit), fit.params.k)
 
 
 # ---------------------------------------------------------------- corrected

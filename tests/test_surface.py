@@ -5,6 +5,9 @@ a private function may instead be a layer boundary the benchmark's tracer
 patches (perfbench/spans.py TARGETS).  A helper only unit tests call
 belongs in tests/oracles.py.  Every parameter with a default is passed by
 some call there or in the benchmark; one no caller sets is a constant.
+Every field default of a package dataclass is omitted by some construction
+there, in the tests or in the benchmark; one that every construction
+overrides is a required field.
 
 The files are parsed, not imported, so no test module is loaded."""
 
@@ -137,3 +140,59 @@ def test_every_default_parameter_is_passed():
         if param not in keywords[name] and (index is None or positional[name] <= index)
     ]
     assert unpassed == []
+
+
+def dataclass_defaults():
+    """(class, field, position) for every field default of a package
+    dataclass; a field(...) without default or default_factory has none."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                continue
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                value = f.value
+                if value is None or (
+                    isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) == "field"
+                    and not {"default", "default_factory"} & {k.arg for k in value.keywords}
+                ):
+                    continue
+                found.append((node.name, f.target.id, i))
+    return found
+
+
+def omitted_fields():
+    """Per constructed name: the (field name or position) sets of each call,
+    or None for a call that passes ** and so may omit any field."""
+    calls = defaultdict(list)
+    paths = caller_files() + sorted((ROOT / "tests").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").rglob("*.py"))
+    for path in sorted(set(paths)):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(k.arg is None for k in node.keywords):
+                calls[name].append(None)
+                continue
+            written = next((i for i, arg in enumerate(node.args)
+                            if isinstance(arg, ast.Starred)), len(node.args))
+            calls[name].append(({k.arg for k in node.keywords}, written))
+    return calls
+
+
+def test_every_dataclass_default_is_relied_on():
+    """A default that every construction overrides is a value no caller
+    needs; the field should be required."""
+    calls = omitted_fields()
+    unrelied = [
+        f"{cls}.{name}"
+        for cls, name, index in dataclass_defaults()
+        if not any(call is None or (name not in call[0] and call[1] <= index)
+                   for call in calls[cls])
+    ]
+    assert unrelied == []
