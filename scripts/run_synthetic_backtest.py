@@ -18,20 +18,22 @@ from evtrisk.mc import McDesign, simulate_dgp
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--m", type=int, default=1500)
-    parser.add_argument("--n", type=int, default=1000)
+    # Omitted --m, --n, --a and --seed take BacktestConfig's defaults.
+    parser.add_argument("--m", type=int, help="series length, also the simulated length")
+    parser.add_argument("--n", type=int)
     parser.add_argument("--v", type=int, default=6)
     parser.add_argument("--theta", type=float, default=0.0)
-    parser.add_argument("--a", default="0.95,0.99,0.995")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--a")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
-    levels = tuple(float(part) for part in args.a.split(","))
-    design = McDesign(n=args.m, variant="h1", theta=args.theta, v=args.v,
-                      reps=1, seed=args.seed)
+    levels = None if args.a is None else tuple(float(part) for part in args.a.split(","))
+    given = {"m": args.m, "n": args.n, "a_levels": levels, "seed": args.seed}
+    cfg = BacktestConfig(**{name: value for name, value in given.items() if value is not None})
+    design = McDesign(n=cfg.m, variant="h1", theta=args.theta, v=args.v,
+                      reps=1, seed=cfg.seed)
     series = simulate_dgp(design)
-    cfg = BacktestConfig(m=args.m, n=args.n, a_levels=levels, seed=args.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_backtest(series, cfg, threads=args.threads)

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationWarning, EvtriskError, InputError
 from .gpd import fit_tail
@@ -151,7 +151,7 @@ def coverage_test(violations, a: float):
     w = int(viol.sum())
     t = viol.size
     z = (w - t * (1.0 - a)) / math.sqrt(t * (1.0 - a) * a)
-    return w, float(2.0 * stats.norm.sf(abs(z)))
+    return w, float(2.0 * special.ndtr(-abs(z)))
 
 
 def _durations(viol: np.ndarray):
@@ -250,7 +250,7 @@ def duration_tests(violations, a: float):
             return None, None
         t_ind = max(2.0 * (ll_weib - ll_exp), 0.0)
         t_cc = max(2.0 * (ll_weib - ll_cc), 0.0)
-        return float(stats.chi2.sf(t_ind, 1)), float(stats.chi2.sf(t_cc, 2))
+        return float(special.chdtrc(1, t_ind)), float(special.chdtrc(2, t_cc))
     except (ValueError, OverflowError, ZeroDivisionError):
         return None, None
 

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConvergenceError, EvtriskError, InputError
 from .gpd import fit_tail
@@ -80,6 +80,14 @@ def _t_std_factor(v: int) -> float:
     return math.sqrt(v / (v - 2.0))
 
 
+def _t_pdf(c, v: int):
+    """Student-t(v) density at c, in the numpy operations scipy.stats.t.pdf
+    uses, so that it gives the same bits without importing scipy.stats."""
+    log_pdf = (np.log(special.poch(0.5 * v, 0.5)) - 0.5 * (np.log(v) + np.log(np.pi))
+               - (v + 1) / 2 * np.log1p(c * c / v))
+    return np.exp(log_pdf)
+
+
 @functools.lru_cache(maxsize=64)
 def _t_risk_std(a: float, v: int) -> tuple[float, float]:
     """(quantile, tail mean E[eps | eps > quantile]) of the unit-variance
@@ -88,8 +96,8 @@ def _t_risk_std(a: float, v: int) -> tuple[float, float]:
     Every replication of a design asks for the same few (a, v) pairs.
     """
     scale = _t_std_factor(v)
-    c = stats.t.ppf(a, v)
-    raw = stats.t.pdf(c, v) * (v + c * c) / ((v - 1.0) * (1.0 - a))
+    c = special.stdtrit(v, a)
+    raw = _t_pdf(c, v) * (v + c * c) / ((v - 1.0) * (1.0 - a))
     return float(c / scale), float(raw / scale)
 
 
@@ -116,7 +124,7 @@ class SimPath:
 
 def _simulate(design: McDesign, rep: int = 0) -> SimPath:
     u = _rng(design.seed, rep).random(BURN_IN + design.n)
-    eps = stats.t.ppf(u, design.v) / _t_std_factor(design.v)
+    eps = special.stdtrit(design.v, u) / _t_std_factor(design.v)
     y, h = [], []
     y_prev, h_prev = 0.0, 0.0
     for e in eps.tolist():
@@ -239,7 +247,7 @@ def summarize(errors: np.ndarray):
     return b, s, math.hypot(b, s)
 
 
-def run_experiment(design: McDesign, threads: int = 1) -> McResult:
+def run_experiment(design: McDesign, threads: int) -> McResult:
     """Run every replication, aggregate per-estimator summaries.
 
     Replication failures are recorded and excluded from bias summaries; a

@@ -9,13 +9,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationWarning, InputError, PoleError, TailError
 from .gpd import K_EXP_LIMIT, A_matrix, H_inv, TailFit, Vb_matrix, d_hat
 from .smoothing import LocationScaleFit
 
-CI_Z = float(stats.norm.ppf(0.975))  # two-sided 95% normal quantile
+CI_Z = float(special.ndtri(0.975))  # two-sided 95% normal quantile
 
 
 def _extrapolation(q_tilde, sigma, k, ratio):

@@ -2,13 +2,15 @@
 suites.  Everything here is written against the closed forms directly,
 without reusing the package's own composition paths."""
 
+import csv
 import math
+from datetime import datetime
 from fractions import Fraction
 
 import numpy as np
 from scipy import stats
 
-from evtrisk.errors import DegenerateFitError, PoleError
+from evtrisk.errors import DegenerateFitError, InputError, PoleError
 from evtrisk.gpd import K_EXP_LIMIT, _check_pole
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
 from evtrisk.smoothing import _nn_bandwidth
@@ -441,3 +443,35 @@ def weibull_loglik(a_par, b, d, cens):
     ll += full.sum() * math.log(b) + (b - 1.0) * float(np.sum(np.log(d[full])))
     ll += full.sum() * b * math.log(a_par)
     return ll
+
+
+def parse_date_oracle(text, row):
+    """The strptime-first date parser that `ingest._parse_date` replaced."""
+    for fmt in ("%Y-%m-%d", "%Y/%m/%d", "%m/%d/%Y"):
+        try:
+            return datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise InputError(f"row {row}: cannot parse date {text!r}") from None
+
+
+def read_rows_oracle(path, columns):
+    """The csv.DictReader reading that `ingest._read_rows` replaced:
+    (data_row_number, {col: text}) for the requested columns."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot open ({exc.strerror})") from None
+    with fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise InputError(f"{path}: empty file (header row required)")
+        for col in columns:
+            if col not in header:
+                raise InputError(f"{path}: missing column {col!r} (header: {header})")
+        for i, record in enumerate(reader, start=1):
+            yield i, {col: (record.get(col) or "").strip() for col in columns}

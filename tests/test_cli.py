@@ -374,7 +374,7 @@ def test_env_thread_fallback(monkeypatch):
             _resolve_threads(args)
 
 
-@pytest.mark.parametrize("argv_tail, design_text, env", [
+@pytest.mark.parametrize("argv_tail, bad_text, env", [
     (["estimate", "--returns", "{tmp}/nope.csv"], None, None),
     (["mc", "--design", "{tmp}/nope.json"], None, None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "thetaa": 0.1}', None),
@@ -384,12 +384,17 @@ def test_env_thread_fallback(monkeypatch):
     (["mc", "--design", "{tmp}/bad.json"], '[1, 2]', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v"', None),
     (["mc", "--design", "table1", "--reps", "1"], None, "abc"),
+    (["estimate", "--prices", "{tmp}/bad.csv"],
+     "date,price\n2000-01-03,100\n2000-01-04T00:00+01:00,101\n", None),
 ], ids=["missing-returns", "missing-design", "unknown-field", "rho_c-field",
-        "scalar-levels", "string-value", "not-object", "truncated", "env-threads"])
+        "scalar-levels", "string-value", "not-object", "truncated", "env-threads",
+        "mixed-utc-offsets"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
-                                               argv_tail, design_text, env):
-    if design_text is not None:
-        (tmp_path / "bad.json").write_text(design_text, encoding="utf-8")
+                                               argv_tail, bad_text, env):
+    """bad_text, when given, is the content of the {tmp}/bad.* file in argv."""
+    if bad_text is not None:
+        name = next(arg for arg in argv_tail if arg.startswith("{tmp}/bad."))
+        (tmp_path / name.removeprefix("{tmp}/")).write_text(bad_text, encoding="utf-8")
     if env is not None:
         monkeypatch.setenv("EVTRISK_THREADS", env)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv_tail]

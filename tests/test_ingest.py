@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtrisk.errors import InputError
-from evtrisk.ingest import PriceSeries, ReturnSeries, load_prices, load_returns, to_returns
+from evtrisk.ingest import (
+    PriceSeries,
+    ReturnSeries,
+    _parse_date,
+    _read_rows,
+    load_prices,
+    load_returns,
+    to_returns,
+)
+from oracles import parse_date_oracle, read_rows_oracle
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -101,3 +110,81 @@ def test_round_trip_reconstruction(prices):
     rebuilt = arr[0] * np.exp(-np.cumsum(returns.values))
     np.testing.assert_allclose(rebuilt, arr[1:], rtol=1e-12)
     assert returns.values.size == arr.size - 1
+
+
+def test_load_prices_rejects_mixed_utc_offsets(tmp_path):
+    for first, second in (("2000-01-03", "2000-01-04T00:00+01:00"),
+                          ("2000-01-03T00:00+01:00", "2000-01-04")):
+        path = write_csv(tmp_path, f"date,price\n{first},1\n{second},2\n")
+        with pytest.raises(InputError, match="row 2: dates with and without a UTC offset"):
+            load_prices(path)
+    path = write_csv(tmp_path, "date,price\n2000-01-03T00:00+01:00,1\n2000-01-04T00:00Z,2\n")
+    assert load_prices(path).timestamps[1] == "2000-01-04T00:00Z"
+
+
+def _outcome(call):
+    """What a call gives: ("ok", exact repr) or (exception type, message)."""
+    try:
+        return "ok", repr(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _num(lo, hi, widths):
+    return st.builds(lambda v, w: f"{v:0{w}d}", st.integers(lo, hi), st.sampled_from(widths))
+
+
+_year, _month, _day = _num(0, 9999, (4, 4, 1)), _num(0, 13, (1, 2)), _num(0, 32, (1, 2))
+
+
+_iso_date = st.builds("{:04d}-{:02d}-{:02d}".format,
+                      st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32))
+_time = st.one_of(
+    st.sampled_from(["", "00", "00:00", "23:59:59", "12:30:00.5", "12:30:00.123456", "1230", "24:00"]),
+    st.builds("{:02d}:{:02d}".format, st.integers(0, 25), st.integers(0, 61)),
+)
+_offset = st.sampled_from(["", "Z", "+01:00", "-05:30", "+0100", "+14:00", "-00:00", "+01:00:30"])
+_date_text = st.one_of(
+    _iso_date,                                                               # fromisoformat and %Y-%m-%d
+    st.builds("{}-{}-{}".format, _year, _month, _day),                       # unpadded Y-M-D
+    st.builds("{}/{}/{}".format, _year, _month, _day),                       # %Y/%m/%d
+    st.builds("{}/{}/{}".format, _month, _day, _year),                       # %m/%d/%Y
+    st.builds("{}{}{}{}".format, _iso_date, st.sampled_from(["T", " ", "/", "x", "-", ""]),
+              _time, _offset),                                               # ISO date-times
+    st.builds("{}{}".format, st.sampled_from(["2020", "2020-", "20200101", "2020-W01", "2020W01"]),
+              st.sampled_from(["", "-1", "1", "-13", "T10", "-01-01"])),     # basic and week forms
+    st.text(alphabet="0123456789-/:+ TWZ.", max_size=22),
+    st.text(max_size=12),
+)
+
+
+@given(_date_text)
+@settings(max_examples=500, deadline=None)
+def test_parse_date_matches_strptime_first_oracle(text):
+    assert _outcome(lambda: _parse_date(text, 7)) == _outcome(lambda: parse_date_oracle(text, 7))
+
+
+_CSV_CASES = {
+    "plain": "date,price\n2020-01-01,1\n2020-01-02,2\n",
+    "blank-lines": "date,price\n\n2020-01-01,1\n\n\n2020-01-02,2\n\n",
+    "blank-first-line": "\ndate,price\n2020-01-01,1\n",
+    "whitespace-lines": "date,price\n \n,\n2020-01-01,1\n",
+    "short-rows": "date,price\n2020-01-01\n2020-01-02,\n2020-01-03,3\n",
+    "extra-fields": "date,price\n2020-01-01,1,x,y\n2020-01-02,2,\n",
+    "repeated-header": "price,date,price\n1,2020-01-01,2\n3,2020-01-02\n",
+    "quoted-fields": 'date,price\n"2020-01-01"," 1.5 "\n"2020-01-02","2,5"\n"2020-\n01-03",""\n',
+    "crlf": "date,price\r\n2020-01-01,1\r\n\r\n2020-01-02,2\r\n",
+    "missing-column": "date,close\n2020-01-01,1\n",
+    "header-only": "date,price\n",
+    "empty-file": "",
+}
+
+
+@pytest.mark.parametrize("columns", [("date", "price"), ("price",), ("price", "date")])
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_read_rows_matches_dictreader_oracle(tmp_path, case, columns):
+    path = write_csv(tmp_path, _CSV_CASES[case])
+    fast = _outcome(lambda: [(row, tuple(texts)) for row, texts in _read_rows(path, columns)])
+    slow = _outcome(lambda: [(row, tuple(rec[col] for col in columns))
+                             for row, rec in read_rows_oracle(path, columns)])
+    assert fast == slow
