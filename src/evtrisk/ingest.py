@@ -82,28 +82,40 @@ def _read_rows(path, columns):
 
     Reads as `csv.DictReader` would: blank lines are skipped and not
     counted, a short row reads as blank, and a repeated header name means
-    its last column.
+    its last column.  Text that is not UTF-8, and a quote left open or
+    followed by more text in its field, raise `InputError`; a lenient
+    reader would run an open quote on to the end of the file.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: cannot open ({exc.strerror})") from None
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file (header row required)")
-        index = {name: i for i, name in enumerate(header)}
-        for col in columns:
-            if col not in index:
-                raise InputError(f"{path}: missing column {col!r} (header: {header})")
-        picks = [index[col] for col in columns]
-        row = 0
-        for fields in reader:
-            if not fields:
-                continue
-            row += 1
-            yield row, [fields[i].strip() if i < len(fields) else "" for i in picks]
+        reader = csv.reader(fh, strict=True)
+        done = 0
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file (header row required)")
+            index = {name: i for i, name in enumerate(header)}
+            for col in columns:
+                if col not in index:
+                    raise InputError(f"{path}: missing column {col!r} (header: {header})")
+            picks = [index[col] for col in columns]
+            row = 0
+            done = reader.line_num
+            for fields in reader:
+                done = reader.line_num
+                if not fields:
+                    continue
+                row += 1
+                yield row, [fields[i].strip() if i < len(fields) else "" for i in picks]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(
+                f"{path}: malformed CSV record from line {done + 1} ({exc}); check its quotes"
+            ) from None
 
 
 def load_prices(path, date_col: str = "date", price_col: str = "price") -> PriceSeries:

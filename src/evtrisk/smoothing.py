@@ -43,13 +43,6 @@ DENSITY_RATE_DELTA = 0.01
 H_EPS = 1e-12
 
 
-def _epan_integrated(u):
-    """Antiderivative of the Epanechnikov weight, rising from 0 at -1 to 1 at 1."""
-    u = np.asarray(u, dtype=float)
-    clipped = np.clip(u, -1.0, 1.0)
-    return 0.75 * (clipped - clipped**3 / 3.0) + 0.5
-
-
 def _nn_bandwidth(q, x, h):
     """Smallest bandwidth above h whose window holds 3 points, 2 distinct."""
     dist = np.sort(np.abs(x - q))

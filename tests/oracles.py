@@ -10,11 +10,11 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from evtrisk.errors import DegenerateFitError, InputError, PoleError
+from evtrisk.errors import DegenerateFitError, InputError, PoleError, TailError
 from evtrisk.gpd import K_EXP_LIMIT, _check_pole
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
 from evtrisk.smoothing import _nn_bandwidth
-from evtrisk.tail import empirical_quantile, smoothed_quantile
+from evtrisk.tail import empirical_quantile
 
 
 def gpd_loglik_grid(z, sigma_grid, k_grid):
@@ -317,12 +317,54 @@ def assembly_oracle(tail, a, m, h):
     return out
 
 
+def epan_integrated(u):
+    """Antiderivative of the Epanechnikov weight, rising from 0 at -1 to 1 at 1."""
+    u = np.asarray(u, dtype=float)
+    clipped = np.clip(u, -1.0, 1.0)
+    return 0.75 * (clipped - clipped**3 / 3.0) + 0.5
+
+
+def smoothed_cdf_oracle(u, residuals, h3):
+    """The O(n) smoothed CDF that `tail.smoothed_cdf` replaced: the clipped
+    integrated kernel averaged over every residual in the order given."""
+    if h3 <= 0:
+        raise InputError("CDF bandwidth must be positive")
+    residuals = np.asarray(residuals, dtype=float)
+    return float(np.mean(epan_integrated((float(u) - residuals) / h3)))
+
+
+def smoothed_quantile_oracle(a, residuals, h3):
+    """The bisection of `tail.smoothed_quantile` over `smoothed_cdf_oracle`,
+    one O(n) pass per step, to |F(q) - a| <= 1e-10."""
+    if not 0.0 < a < 1.0:
+        raise InputError(f"quantile level must be in (0,1), got {a}")
+    if h3 is None or h3 <= 0:
+        raise InputError("CDF bandwidth must be positive")
+    residuals = np.asarray(residuals, dtype=float)
+    lo = float(residuals.min()) - 10.0 * h3
+    hi = float(residuals.max()) + 10.0 * h3
+    if smoothed_cdf_oracle(lo, residuals, h3) > a or smoothed_cdf_oracle(hi, residuals, h3) < a:
+        raise TailError(f"no bracket for smoothed quantile at level {a}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = smoothed_cdf_oracle(mid, residuals, h3)
+        if abs(val - a) <= 1e-10:
+            return mid
+        if val < a:
+            lo = mid
+        else:
+            hi = mid
+    if abs(smoothed_cdf_oracle(mid, residuals, h3) - a) > 1e-8:
+        raise TailError(f"smoothed quantile did not converge at level {a}")
+    return mid
+
+
 def _moment_stats_at_count_oracle(residuals_sorted, count, n, h3, threshold_kind):
     a_level = 1.0 - count / n
     if threshold_kind == "empirical":
         q = empirical_quantile(residuals_sorted, a_level)
     else:
-        q = smoothed_quantile(a_level, residuals_sorted, h3)
+        q = smoothed_quantile_oracle(a_level, residuals_sorted, h3)
     if q <= 0:
         raise ValueError(f"threshold at enlarged tail count {count} is nonpositive")
     above = residuals_sorted[residuals_sorted > q]

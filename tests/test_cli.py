@@ -386,15 +386,22 @@ def test_env_thread_fallback(monkeypatch):
     (["mc", "--design", "table1", "--reps", "1"], None, "abc"),
     (["estimate", "--prices", "{tmp}/bad.csv"],
      "date,price\n2000-01-03,100\n2000-01-04T00:00+01:00,101\n", None),
+    (["estimate", "--prices", "{tmp}/bad.csv"],
+     b"date,price\n2000-01-03,100\n2000-01-04,10\xe9\n", None),
 ], ids=["missing-returns", "missing-design", "unknown-field", "rho_c-field",
         "scalar-levels", "string-value", "not-object", "truncated", "env-threads",
-        "mixed-utc-offsets"])
+        "mixed-utc-offsets", "not-utf8"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                argv_tail, bad_text, env):
-    """bad_text, when given, is the content of the {tmp}/bad.* file in argv."""
+    """bad_text, when given, is the content of the {tmp}/bad.* file in argv:
+    str is written as UTF-8, bytes as they are."""
     if bad_text is not None:
         name = next(arg for arg in argv_tail if arg.startswith("{tmp}/bad."))
-        (tmp_path / name.removeprefix("{tmp}/")).write_text(bad_text, encoding="utf-8")
+        path = tmp_path / name.removeprefix("{tmp}/")
+        if isinstance(bad_text, bytes):
+            path.write_bytes(bad_text)
+        else:
+            path.write_text(bad_text, encoding="utf-8")
     if env is not None:
         monkeypatch.setenv("EVTRISK_THREADS", env)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv_tail]

@@ -112,6 +112,20 @@ def test_round_trip_reconstruction(prices):
     assert returns.values.size == arr.size - 1
 
 
+@pytest.mark.parametrize("content, match", [
+    (b"date,price\n2000-01-03,100\n2000-01-04,10\xe9\n", r"prices\.csv: not UTF-8 text"),
+    (b'date,price\n2000-01-03,100\n"2000-01-04,101\n2000-01-05,102\n',
+     r"prices\.csv: malformed CSV record from line 3 \(unexpected end of data\)"),
+    (b'date,price\n2000-01-03,100\n"2000-01-04"x,101\n',
+     r"prices\.csv: malformed CSV record from line 3"),
+], ids=["not-utf8", "open-quote", "text-after-quote"])
+def test_load_prices_names_file_for_unreadable_text(tmp_path, content, match):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match=match):
+        load_prices(path)
+
+
 def test_load_prices_rejects_mixed_utc_offsets(tmp_path):
     for first, second in (("2000-01-03", "2000-01-04T00:00+01:00"),
                           ("2000-01-03T00:00+01:00", "2000-01-04")):

@@ -16,7 +16,6 @@ from evtrisk.ingest import ReturnSeries
 from evtrisk.mc import _simulate, named_design
 from evtrisk.smoothing import (
     ROT_KERNEL_CONST,
-    _epan_integrated,
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,
@@ -29,18 +28,18 @@ from evtrisk.smoothing import (
 
 def test_epanechnikov_center():
     assert oracles.epan_weight(0.0) == pytest.approx(0.75)
-    assert _epan_integrated(0.0) == pytest.approx(0.5)
+    assert oracles.epan_integrated(0.0) == pytest.approx(0.5)
 
 
 def test_epanechnikov_endpoint():
     assert oracles.epan_weight(1.0) == pytest.approx(0.0)
-    assert _epan_integrated(1.0) == pytest.approx(1.0)
+    assert oracles.epan_integrated(1.0) == pytest.approx(1.0)
 
 
 def test_epanechnikov_half():
     # closed-form antiderivative 0.75(u - u^3/3) + 0.5
     assert oracles.epan_weight(0.5) == pytest.approx(0.5625)
-    assert _epan_integrated(0.5) == pytest.approx(0.84375)
+    assert oracles.epan_integrated(0.5) == pytest.approx(0.84375)
 
 
 def test_kernel_integrates_to_one():
@@ -52,8 +51,8 @@ def test_kernel_integrates_to_one():
 @settings(max_examples=60, deadline=None)
 def test_kernel_symmetry_and_cdf(u):
     assert oracles.epan_weight(u) == pytest.approx(oracles.epan_weight(-u), abs=1e-12)
-    i_pos = float(_epan_integrated(u))
-    assert i_pos == pytest.approx(1.0 - _epan_integrated(-u), abs=1e-12)
+    i_pos = float(oracles.epan_integrated(u))
+    assert i_pos == pytest.approx(1.0 - oracles.epan_integrated(-u), abs=1e-12)
     assert 0.0 <= i_pos <= 1.0
 
 

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import smoothed_cdf_oracle, smoothed_quantile_oracle
 from evtrisk.errors import InputError, TailError
+from evtrisk.gpd import RHO_C
 from evtrisk.ingest import ReturnSeries
-from evtrisk.smoothing import fit_location_scale
+from evtrisk.smoothing import fit_location_scale, rot_bandwidth_density
 from evtrisk.tail import (
     choose_N,
     empirical_quantile,
@@ -110,6 +115,55 @@ def test_smoothed_quantile_level_validation():
     # A hand-built TailSample defaults to a "smoothed" rule with h3 None.
     with pytest.raises(InputError, match="bandwidth"):
         smoothed_quantile(0.5, np.arange(5.0), None)
+
+
+# Samples per (tail index, zero block) at each n: 84 cases per sample set,
+# 2100 cases in all.
+_GRID_SAMPLES = {300: 10, 1000: 8, 4000: 4, 8000: 3}
+
+
+@pytest.mark.parametrize("n", sorted(_GRID_SAMPLES))
+def test_smoothed_quantile_equals_on_bisection_oracle(n):
+    """The windowed bisection accepts the very float the O(n) bisection
+    accepts: t(3/4/6) residuals, with and without a block of exact zeros
+    (stage 1 writes 0 where the variance fit is not positive), at the
+    pipeline's bandwidth and a hundredth of it, at the tail level 1 - N/n,
+    rho_hat's two enlarged-count levels and four fixed levels."""
+    rng = np.random.default_rng(1300 + n)
+    N = choose_N(n)
+    counts = [max(int(math.floor(cc * N * math.log(n) + 0.5)), 10) for cc in (RHO_C, RHO_C / 2)]
+    levels = [1.0 - N / n] + [1.0 - c / n for c in counts] + [0.5, 0.9, 0.95, 0.99]
+    cases = 0
+    for v in (3, 4, 6):
+        for zero_block in (False, True):
+            for _ in range(_GRID_SAMPLES[n]):
+                res = rng.standard_t(v, size=n)
+                if zero_block:
+                    start = rng.integers(0, n - n // 10)
+                    res[start:start + n // 10] = 0.0
+                h3 = rot_bandwidth_density(rng.standard_t(v, size=n))
+                for bw in (h3, 0.01 * h3):
+                    for a in levels:
+                        assert smoothed_quantile(a, res, bw) == smoothed_quantile_oracle(a, res, bw)
+                        cases += 1
+    assert cases == 84 * _GRID_SAMPLES[n]
+
+
+@given(
+    st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=200),
+    st.floats(1e-3, 10.0),
+    st.floats(-60.0, 60.0),
+    st.floats(-60.0, 60.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_smoothed_cdf_matches_oracle_and_is_monotone(residuals, h3, u, v):
+    # Monotone up to rounding: a sum of n terms can step back by an ulp,
+    # at the oracle as well.
+    lo, hi = min(u, v), max(u, v)
+    f_lo, f_hi = smoothed_cdf(lo, residuals, h3), smoothed_cdf(hi, residuals, h3)
+    assert abs(f_lo - smoothed_cdf_oracle(lo, residuals, h3)) <= 1e-13
+    assert abs(f_hi - smoothed_cdf_oracle(hi, residuals, h3)) <= 1e-13
+    assert -1e-13 <= f_lo <= f_hi + 1e-13 <= 1.0 + 2e-13
 
 
 # ---------------------------------------------------------------- tail extraction
