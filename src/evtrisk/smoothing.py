@@ -16,9 +16,16 @@ is found by binary search, and the queries are grouped into blocks of extent
 at most h.  Each block recentres its power sums on the data of its middle
 window; one global origin would lose about (span/h)^4 to cancellation.  A
 fit at m queries costs O((n + m) log n) for the sorts and searches plus
-O(n span/h) for the blocks' partial sums.  The dense fit it replaced, which
-evaluates the kernel at every point for every query, is kept as the test
-oracle ``local_linear_dense`` in tests/oracles.py.
+O(n span/h) for the blocks' partial sums.  Only the window sums are taken
+block by block; the weights, the degeneracy test and the line solve run
+once over all queries.  So one query, such as m_hat(x), costs O(log n + w)
+for the w points of its window plus a fixed number of array operations.
+A degenerate query is refit with its bandwidth widened to reach its
+nearest neighbours, whose radius is found on the sorted design in
+O(log n + k) for the k points within it.  The dense fit, which evaluates
+the kernel at every point for every query, and the full sort of the
+distances for the widening are kept as the test oracles
+``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -43,20 +50,36 @@ DENSITY_RATE_DELTA = 0.01
 H_EPS = 1e-12
 
 
-def _nn_bandwidth(q, x, h):
-    """Smallest bandwidth above h whose window holds 3 points, 2 distinct."""
-    dist = np.sort(np.abs(x - q))
-    if dist.size < 3:
+def _nn_bandwidth(q, xs, h):
+    """Smallest bandwidth above h whose window holds 3 points, 2 distinct,
+    on the sorted design xs.
+
+    The distances |x - q| fall up to q's insertion point in xs and rise after
+    it.  So the radius is read off a slice around that point, doubled until
+    no point within the radius touches a cut end of it: O(log n + k) for k
+    points within the radius.
+    """
+    n = xs.size
+    if n < 3:
         raise DegenerateFitError(f"fewer than 3 data points near query x={q:.6g}")
-    radius = dist[2]
-    inside = np.abs(x - q) <= radius
-    while np.unique(x[inside]).size < 2:
-        outside = dist[dist > radius]
-        if outside.size == 0:
+    p = int(xs.searchsorted(q))
+    k = 4
+    a, b = max(p - k, 0), min(p + k, n)
+    dist = np.abs(xs[a:b] - q)
+    radius = np.sort(dist)[2]  # the 3 nearest lie within 3 places of p
+    while True:
+        if (a > 0 and dist[0] <= radius) or (b < n and dist[-1] <= radius):
+            k *= 2
+            a, b = max(p - k, 0), min(p + k, n)
+            dist = np.abs(xs[a:b] - q)
+            continue
+        near = xs[a:b][dist <= radius]
+        if near.size and near[0] != near[-1]:
+            return max(h, 1.01 * radius)
+        farther = dist[dist > radius]
+        if farther.size == 0:
             raise DegenerateFitError(f"no distinct covariates around query x={q:.6g}")
-        radius = outside[0]
-        inside = np.abs(x - q) <= radius
-    return max(h, 1.01 * radius)
+        radius = farther.min()
 
 
 def _first_inside(xs, start, inside):
@@ -75,14 +98,38 @@ def _first_inside(xs, start, inside):
         b[ahead] = np.searchsorted(xs, xs[b[ahead]], side="right")
 
 
+# The two ends of a query's support are q - h and q + h.  A point lies at or
+# above the lower end iff t = (x - q)/h > -1 and at or above the upper end iff
+# t >= 1.  Each searched end is checked on four rows: the design points just
+# below and at the lower end, then just below and at the upper end.
+_END_SIGNS = np.array([[-1.0], [1.0]])
+_CHECK_ENDS = np.array([0, 0, 1, 1])
+_CHECK_SHIFTS = np.array([[-1], [0], [-1], [0]])
+_CHECK_TESTS = np.array([[-1.0], [-1.0], [np.nextafter(1.0, 0.0)], [np.nextafter(1.0, 0.0)]])
+_CHECK_ABOVE = np.array([[False], [True], [False], [True]])
+
+
 def _support(xs, q, h):
     """Index range [lo, hi) of sorted xs with positive weight at each query.
 
-    The weight is positive iff -1 < (x - q)/h < 1 in floating point, so the
-    range is found by that test itself, starting from searchsorted on q -+ h.
+    The weight is positive iff -1 < (x - q)/h < 1 in floating point.  A
+    binary search on q -+ h lands within rounding of each end, so that test
+    is applied to the design points just below and at each landing place
+    only.  The rare end it misplaces is searched for one distinct value at a
+    time.
     """
-    lo = _first_inside(xs, np.searchsorted(xs, q - h), lambda v, r: (v - q[r]) / h > -1.0)
-    hi = _first_inside(xs, np.searchsorted(xs, q + h), lambda v, r: (v - q[r]) / h >= 1.0)
+    ends = xs.searchsorted(q + _END_SIGNS * h)
+    around = ends[_CHECK_ENDS] + _CHECK_SHIFTS
+    above = (xs.take(around, mode="clip") - q) / h > _CHECK_TESTS
+    misplaced = above != _CHECK_ABOVE
+    if np.count_nonzero(misplaced):
+        # Indices -1 and n lie past the design's ends, where take() read a
+        # clipped neighbour instead: nothing is misplaced there.
+        misplaced &= (around >= 0) & (around < xs.size)
+    if not np.count_nonzero(misplaced):
+        return ends[0], ends[1]
+    lo = _first_inside(xs, ends[0], lambda v, r: (v - q[r]) / h > -1.0)
+    hi = _first_inside(xs, ends[1], lambda v, r: (v - q[r]) / h >= 1.0)
     return lo, hi
 
 
@@ -90,114 +137,120 @@ def _partial_sums(terms, cuts):
     """Row sums of terms[:, :c] for each c in the nondecreasing cuts, from one
     sum per segment between consecutive distinct cuts."""
     prev = np.concatenate(([0], cuts[:-1]))
-    grows = cuts > prev
-    running = np.zeros((terms.shape[0], np.count_nonzero(grows) + 1))
-    if grows.any():
-        segments = np.add.reduceat(terms[:, : cuts[-1]], prev[grows], axis=1)
-        np.cumsum(segments, axis=1, out=running[:, 1:])
-    return running[:, np.cumsum(grows)]
+    starts = prev[cuts > prev]
+    running = np.zeros((terms.shape[0], starts.size + 1))
+    if starts.size:
+        segments = np.add.reduceat(terms[:, : cuts[-1]], starts, axis=1)
+        np.add.accumulate(segments, axis=1, out=running[:, 1:])
+    return running[:, starts.searchsorted(cuts)]
 
 
-def _window_moments(xs, ys, qs, lo, hi, h):
-    """Epanechnikov local moments at sorted finite queries, about a centre
-    near each query's data.
+def _window_sums(xs, ys, qs, lo, hi, h):
+    """Windowed power sums about a centre near each sorted query.
 
-    Returns rows s0, s1, s2 (sums of w d^k), t0, t1 (sums of w d^k y) and the
-    offset delta = q - c, where d = x - c and w = 0.75 (1 - ((x-q)/h)^2) over
-    each query's support [lo, hi) of the sorted design xs.  Queries are
-    grouped into blocks of extent at most h; a block's centre c is the mean
-    of the design points in its middle query's window.  The weight is a
-    polynomial in d,
-    w = 0.75 ((1 - delta^2/h^2) + 2 delta d/h^2 - d^2/h^2), so every sum is a
-    combination of the windowed power sums of d^p (p <= 4) and d^p y
-    (p <= 3), taken from partial sums over the block's slice of the design.
-    Centring per block keeps |d| and |delta| within a few h and c near the
-    mass of every window in the block, so the sums lose about as much as the
-    dense ones; one global centre would lose about (span/h)^4.
+    Returns the rows n, T0, S1, T1, S2, T2, S3, T3, S4, 0 of the sums of
+    S_p = d^p and T_p = d^p y over each query's support [lo, hi) of the
+    sorted design xs, where d = x - c, and the centre c of each query.
+    Queries are grouped into blocks of extent at most h; a block's centre c
+    is the mean of the design points in its middle query's window.
+    Centring per block keeps |d| and |q - c| within a few h and c near the
+    mass of every window in the block, so the moments built from these sums
+    lose about as much as the dense ones; one global centre would lose about
+    (span/h)^4.  Where all windows of a block are empty, as those of
+    infinite and NaN queries are, the sums are 0 and the centre is the query
+    itself.
     """
-    moments = np.zeros((6, qs.size))
-    inv_h2 = 1.0 / (h * h)
+    sums = np.zeros((10, qs.size))
+    sums[0] = hi - lo
+    centres = qs.copy()
     start = 0
     while start < qs.size:
-        stop = int(np.searchsorted(qs, qs[start] + h, side="right"))
+        stop = int(qs.searchsorted(qs[start] + h, side="right"))
         blo, bhi = lo[start:stop], hi[start:stop]
-        first, last = int(blo.min()), int(bhi.max())
+        first, last = int(blo[0]), int(bhi[-1])  # both ends rise with q
         if last > first:
             mid = (start + stop - 1) // 2
             near = slice(lo[mid], hi[mid]) if hi[mid] > lo[mid] else slice(first, last)
-            c = float(np.mean(xs[near]))
-            d = xs[first:last] - c
-            yv = ys[first:last]
-            d2 = d * d
-            terms = np.vstack((d, d2, d2 * d, d2 * d2, yv, d * yv, d2 * yv, d2 * d * yv))
+            c = float(xs[near].mean())
+            # Rows y, d, d y, d^2, d^2 y, d^3, d^3 y, d^4 over the block.
+            terms = np.empty((8, last - first))
+            y, d, d2 = terms[0], terms[1], terms[3]
+            y[:] = ys[first:last]
+            np.subtract(xs[first:last], c, out=d)
+            np.multiply(d, d, out=d2)
+            np.multiply(terms[1:4:2], d2, out=terms[5::2])
+            np.multiply(terms[1:7:2], y, out=terms[2:7:2])
             # Partial sums run outward from the first design point at or above
             # the block's middle.  Every query is within h/2 of the middle, so
             # that point splits every window of the block, and a window sum
             # never cancels terms from outside the window.
-            a = int(np.searchsorted(xs, 0.5 * (qs[start] + qs[stop - 1]))) - first
-            win = (_partial_sums(terms[:, a:], bhi - first - a)
-                   + _partial_sums(terms[:, :a][:, ::-1], (first + a - blo)[::-1])[:, ::-1])
-            xsum = [(bhi - blo).astype(float), *win[:4]]
-            ysum = win[4:]
-            delta = qs[start:stop] - c
-            # w = w0 + w1 d - w2 d^2 on the support
-            w0 = 0.75 * (1.0 - delta * delta * inv_h2)
-            w1 = 1.5 * delta * inv_h2
-            w2 = 0.75 * inv_h2
-            moments[:, start:stop] = [
-                *(w0 * xsum[k] + w1 * xsum[k + 1] - w2 * xsum[k + 2] for k in range(3)),
-                *(w0 * ysum[k] + w1 * ysum[k + 1] - w2 * ysum[k + 2] for k in range(2)),
-                delta,
-            ]
+            a = int(xs.searchsorted(0.5 * (qs[start] + qs[stop - 1]))) - first
+            sums[1:9, start:stop] = (
+                _partial_sums(terms[:, a:], bhi - (first + a))
+                + _partial_sums(terms[:, :a][:, ::-1], (first + a - blo)[::-1])[:, ::-1])
+            centres[start:stop] = c
         start = stop
-    return moments
+    return sums, centres
 
 
-def _ll_sorted(queries, xs, ys, h, strict=True):
+def _ll_sorted(queries, xs, ys, h, strict=True, order=None):
     """Local-linear fit at many queries on a design sorted by covariate.
 
+    `order` is the stable argsort of the queries, when the caller has it.
     Queries whose window holds fewer than 3 points, or whose weighted
     covariate variance is negligible, are degenerate: with strict=True the
-    first of them (in query order) raises, with strict=False each is refit
-    with the bandwidth widened to cover its nearest neighbors.
+    first of them (in query order) raises, with strict=False each is refit,
+    in query order, with the bandwidth widened to cover its nearest
+    neighbors.
+
+    Each query's moments s0, s1, s2 (sums of w d^k) and t0, t1 (sums of
+    w d^k y) about its block centre c follow from its window sums: with
+    delta = q - c, the weight w = 0.75 (1 - ((x-q)/h)^2) is
+    w0 + w1 d - w2 d^2 with w0 = 0.75 (1 - delta^2/h^2), w1 = 1.5 delta/h^2
+    and w2 = 0.75/h^2.  Past the block loop every step runs once over all
+    queries.
     """
-    queries = np.atleast_1d(np.asarray(queries, dtype=float))
-    order = np.argsort(queries, kind="stable")
+    queries = np.array(queries, dtype=float, ndmin=1)
+    if order is None:
+        order = queries.argsort(kind="stable")
     qs = queries[order]
     lo, hi = _support(xs, qs, h)
-    finite = np.flatnonzero(np.isfinite(qs))
-    moments = np.zeros((6, qs.size))
-    if finite.size:
-        f0, f1 = finite[0], finite[-1] + 1
-        moments[:, f0:f1] = _window_moments(xs, ys, qs[f0:f1], lo[f0:f1], hi[f0:f1], h)
-    # A window of tied covariates has zero spread; its power sums would only
-    # leave rounding noise in wvar.
-    tied = (hi > lo) & (xs[np.maximum(hi - 1, 0)] == xs[np.minimum(lo, xs.size - 1)])
-    rank = np.argsort(order)  # back to query order
-    s0, s1, s2, t0, t1, delta = moments[:, rank]
-    npos, tied = (hi - lo)[rank], tied[rank]
+    sums, centres = _window_sums(xs, ys, qs, lo, hi, h)
 
-    window = min(h, float(np.ptp(xs)))  # effective covariate spread scale
-    det = s0 * s2 - s1 * s1
+    window = min(h, float(xs[-1] - xs[0]))  # effective covariate spread scale
+    inv_h2 = 1.0 / (h * h)
     with np.errstate(invalid="ignore", divide="ignore"):
+        delta = qs - centres
+        w0 = 0.75 * (1.0 - delta * delta * inv_h2)
+        w1 = 1.5 * delta * inv_h2
+        w2 = 0.75 * inv_h2
+        # The rows of sums are ordered so that three overlapping slices of
+        # them give the moments s0, t0, s1, t1, s2.
+        s0, t0, s1, t1, s2, _ = w0 * sums[:6] + w1 * sums[2:8] - w2 * sums[4:]
         safe = np.maximum(s0, 1e-300)
         wvar = np.where(s0 > 0, s2 / safe - (s1 / safe) ** 2, 0.0)
-    bad = (npos < 3) | tied | (wvar <= 1e-13 * window * window)
-    if strict and np.any(bad):
-        q_bad = queries[np.argmax(bad)]
-        raise DegenerateFitError(
-            f"degenerate local-linear fit at query x={q_bad:.6g} (bandwidth h={h:.6g})"
-        )
+        # A window of tied covariates has zero spread; its power sums would
+        # only leave rounding noise in wvar.  (An empty window has n = 0.)
+        tied = xs.take(hi - 1, mode="clip") == xs.take(lo, mode="clip")
+        bad = (sums[0] < 3) | tied | (wvar <= 1e-13 * window * window)
+        # The line fit about c, evaluated at q = c + delta; degenerate
+        # queries are overwritten below.
+        det = s0 * s2 - s1 * s1
+        slopes_s = (s0 * t1 - s1 * t0) / det
+        levels_s = (s2 * t0 - s1 * t1) / det + slopes_s * delta
     levels = np.empty(queries.size)
     slopes = np.empty(queries.size)
-    for j in np.flatnonzero(bad):
-        hq = _nn_bandwidth(queries[j], xs, h)
-        lv, sl = _ll_sorted(queries[j], xs, ys, hq, strict=True)
-        levels[j], slopes[j] = lv[0], sl[0]
-    good = ~bad
-    # The line fit about c, evaluated at q = c + delta.
-    slopes[good] = (s0[good] * t1[good] - s1[good] * t0[good]) / det[good]
-    levels[good] = (s2[good] * t0[good] - s1[good] * t1[good]) / det[good] + slopes[good] * delta[good]
+    levels[order], slopes[order] = levels_s, slopes_s
+    if np.count_nonzero(bad):
+        widened = np.sort(order[bad])  # back in query order
+        if strict:
+            raise DegenerateFitError(
+                f"degenerate local-linear fit at query x={queries[widened[0]]:.6g} (bandwidth h={h:.6g})"
+            )
+        for j in widened:
+            hq = _nn_bandwidth(queries[j], xs, h)
+            lv, sl = _ll_sorted(queries[j], xs, ys, hq)
+            levels[j], slopes[j] = lv[0], sl[0]
     return levels, slopes
 
 
@@ -275,8 +328,9 @@ class LocationScaleFit:
     h1: float
     h2: float
     residuals: np.ndarray
-    m_hat: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    h_hat: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # m_hat(q) and h_hat(q): a float for a scalar query, else an array.
+    m_hat: Callable[[float | np.ndarray], float | np.ndarray] = field(repr=False)
+    h_hat: Callable[[float | np.ndarray], float | np.ndarray] = field(repr=False)
 
 
 def _evaluator(xs, ys, h):
@@ -322,12 +376,12 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     xs, ys = x[order], y[order]
     # Non-strict evaluation: isolated covariates (routine under heavy-tailed
     # innovations) get a nearest-neighbor bandwidth floor instead of failing.
-    m_at_x, _ = _ll_sorted(x, xs, ys, h1, strict=False)
+    m_at_x, _ = _ll_sorted(x, xs, ys, h1, strict=False, order=order)
     u = y - m_at_x
     u2 = u * u
     h2 = rot_bandwidth_regression(x, u2)
     u2s = u2[order]
-    h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False)
+    h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False, order=order)
 
     positive = h_at_x > H_EPS
     if not np.any(positive) and np.any(u2 > H_EPS**2):

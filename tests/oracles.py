@@ -13,7 +13,6 @@ from scipy import stats
 from evtrisk.errors import DegenerateFitError, InputError, PoleError, TailError
 from evtrisk.gpd import K_EXP_LIMIT, _check_pole
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
-from evtrisk.smoothing import _nn_bandwidth
 from evtrisk.tail import empirical_quantile
 
 
@@ -400,6 +399,25 @@ def epan_weight(u):
     """Epanechnikov weight 0.75 (1 - u^2) on |u| <= 1, zero outside."""
     u = np.asarray(u, dtype=float)
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+def _nn_bandwidth(q, x, h):
+    """Smallest bandwidth above h whose window holds 3 points, 2 distinct, by
+    sorting all n distances |x - q|: the reference for the sorted-design
+    search that replaced it.  Named as in evtrisk.smoothing, so a test can
+    patch either module by the same name."""
+    dist = np.sort(np.abs(x - q))
+    if dist.size < 3:
+        raise DegenerateFitError(f"fewer than 3 data points near query x={q:.6g}")
+    radius = dist[2]
+    inside = np.abs(x - q) <= radius
+    while np.unique(x[inside]).size < 2:
+        outside = dist[dist > radius]
+        if outside.size == 0:
+            raise DegenerateFitError(f"no distinct covariates around query x={q:.6g}")
+        radius = outside[0]
+        inside = np.abs(x - q) <= radius
+    return max(h, 1.01 * radius)
 
 
 def local_linear_dense(queries, x, y, h, strict=True, chunk=512):

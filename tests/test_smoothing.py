@@ -407,6 +407,24 @@ def test_windowed_fit_point_exactly_at_bandwidth():
         assert_matches_dense(grid + 0.05, grid, values, h)
 
 
+def test_support_is_where_the_weight_is_positive():
+    # Each query's index range [lo, hi) on the sorted design is exactly where
+    # -1 < (x - q)/h < 1 holds in floating point, also where a decimal grid
+    # puts (x - q)/h one ulp on either side of -1 or 1, or exactly on it.
+    rng = np.random.default_rng(15)
+    grid = np.arange(41) * 0.1
+    ticks = np.sort(np.round(rng.standard_t(3, size=500), 1))
+    for xs in (grid, ticks):
+        queries = np.sort(np.concatenate([xs, xs + 0.05, [-1e3, 1e3, -np.inf, np.inf, np.nan]]))
+        for h in (0.1, 0.2, 0.3, 0.5, 0.7):
+            lo, hi = smoothing._support(xs, queries, h)
+            t = (xs[None, :] - queries[:, None]) / h
+            # Both tests are monotone in x, so each end counts the points
+            # that fail its test.
+            np.testing.assert_array_equal(lo, np.count_nonzero(~(t > -1.0), axis=1))
+            np.testing.assert_array_equal(hi, np.count_nonzero(~(t >= 1.0), axis=1))
+
+
 def test_windowed_fit_queries_outside_data():
     rng = np.random.default_rng(13)
     x = rng.uniform(-1.0, 1.0, size=300)
@@ -425,7 +443,7 @@ def test_windowed_fit_queries_outside_data():
     assert_matches_dense(far, x, y, 0.2, tol=1e-9)
     levels, slopes = windowed_fit(far, x, y, 0.2, strict=False)
     for q, level, slope in zip(far, levels, slopes):
-        exact = oracles.local_linear_exact(q, x, y, smoothing._nn_bandwidth(q, x, 0.2))
+        exact = oracles.local_linear_exact(q, x, y, oracles._nn_bandwidth(q, x, 0.2))
         np.testing.assert_allclose([level, slope], exact, rtol=1e-12)
 
 
@@ -451,3 +469,71 @@ def test_windowed_fit_matches_dense_property(grid, rand, k, scale, shift):
         warnings.simplefilter("ignore", RuntimeWarning)
         assert_matches_dense(queries, x, y, h)
         assert_matches_dense(queries, x, y, h, strict=True)
+
+
+def _nn_or_message(nn, q, x, h):
+    try:
+        return np.float64(nn(q, x, h)).tobytes()
+    except DegenerateFitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [5, 300, 1000, 8000])
+def test_nn_bandwidth_equals_full_sort_oracle(n):
+    # The radius search on the sorted design returns the oracle's float bit
+    # for bit, or raises with its message.
+    rng = np.random.default_rng(n)
+    ticks = np.round(rng.standard_t(3, size=n), 1)
+    ticks[rng.random(n) < 0.3] = 0.0  # large tie groups
+    designs = [
+        ticks,
+        # A decimal grid: distances to the two neighbours differ by an ulp,
+        # and (x - q)/h lands an ulp to either side of -1 and 1.
+        rng.permutation(np.arange(n) * 0.1),
+        rng.standard_normal(n) * 1e-3 + 5.0,
+        np.full(n, 2.5),  # no two distinct covariates
+    ]
+    for x in designs:
+        xs = np.sort(x, kind="stable")
+        span = float(xs[-1] - xs[0])
+        queries = np.concatenate([
+            x[: min(n, 60)],
+            0.5 * (xs[:-1] + xs[1:])[:40],
+            xs[:40] + 0.05,
+            rng.uniform(xs[0] - 0.1, xs[-1] + 0.1, size=40),
+            [xs[0] - 1e3 * (span + 1.0), xs[-1] + 1e3 * (span + 1.0), -np.inf, np.inf, np.nan],
+        ])
+        for q in queries:
+            for h in (1e-9, 0.1, 0.3):
+                got = _nn_or_message(smoothing._nn_bandwidth, q, xs, h)
+                want = _nn_or_message(oracles._nn_bandwidth, q, x, h)
+                assert got == want, (n, q, h)
+    assert _nn_or_message(smoothing._nn_bandwidth, np.nan, np.sort(ticks), 0.1) == (
+        "no distinct covariates around query x=nan"
+    )
+
+
+def test_ll_sorted_query_order_and_scalar_queries():
+    # Handing over the design's own stable order gives the same floats, and
+    # widens the same queries, as a call that sorts a shuffled copy of the
+    # queries itself; a scalar query gives the same float as a length-1 array.
+    rng = np.random.default_rng(14)
+    fit = fit_location_scale(ReturnSeries(rng.standard_t(3, size=1001), kind="raw"))
+    order = np.argsort(fit.x, kind="stable")
+    xs, ys = fit.x[order], fit.y[order]
+    perm = rng.permutation(fit.x.size)
+
+    def fit_sorted(given):
+        return lambda q, x, y, h, strict: smoothing._ll_sorted(q, xs, ys, h, strict, given)
+
+    (levels, slopes), widened = _run(smoothing, fit_sorted(order), fit.x, None, None, fit.h1, False)
+    shuffled, shuffled_widened = _run(smoothing, fit_sorted(None), fit.x[perm], None, None, fit.h1, False)
+    assert widened  # heavy tails leave isolated covariates to widen
+    assert sorted(shuffled_widened) == sorted(widened)
+    assert shuffled[0].tobytes() == levels[perm].tobytes()
+    assert shuffled[1].tobytes() == slopes[perm].tobytes()
+    for q in (float(fit.x[0]), float(np.median(fit.x)), float(fit.x.max()), float(fit.x.max()) + 1.0):
+        for curve in (fit.m_hat, fit.h_hat):
+            scalar = curve(q)
+            assert isinstance(scalar, float)
+            assert np.float64(scalar).tobytes() == curve(np.array([q]))[0].tobytes()
