@@ -51,6 +51,14 @@ def gpd_quantile(p, params: GpdParams):
     return sigma / k * (1.0 - (1.0 - p) ** k)
 
 
+def _small_c_series(c, w, a):
+    """phi, dll/dk and d2ll/dk2 per exceedance by their series in c = k w."""
+    phi = 1.0 + c / 2.0 + c**2 / 3.0 + c**3 / 4.0 + c**4 / 5.0
+    g2 = w / a - w * w * (0.5 + (2.0 / 3.0) * c + 0.75 * c**2 + 0.8 * c**3)
+    h22 = w**2 / a**2 - w**3 * (2.0 / 3.0 + 1.5 * c + 2.4 * c**2 + (10.0 / 3.0) * c**3)
+    return phi, g2, h22
+
+
 def _loglik_grad_hess(z, log_sigma: float, k: float):
     """Log likelihood, gradient, and Hessian in (log sigma, k).
 
@@ -65,38 +73,26 @@ def _loglik_grad_hess(z, log_sigma: float, k: float):
     if np.any(a <= 0.0) or np.any(w < 0.0):
         return -np.inf, None, None
 
-    small = np.abs(c) < 1e-4
-    if k == 0.0:
-        small = np.ones_like(c, dtype=bool)
-    big = ~small
-    loga = np.log1p(-c)
-
     # log density: -log sigma + (1/k - 1) log(1 - kw), with the stable
-    # product form -(1-k) w phi(c) for small |c|, phi = -log(1-c)/c.
-    phi = np.empty_like(w)
-    np.divide(loga, -c, out=phi, where=big)
-    cs = c[small]
-    phi[small] = 1.0 + cs / 2.0 + cs**2 / 3.0 + cs**3 / 4.0 + cs**4 / 5.0
+    # product form -(1-k) w phi(c) for small |c|, phi = -log(1-c)/c.  The
+    # general forms are taken over every exceedance (at k = 0 they are
+    # skipped) and the series then overwrite the entries with |c| < 1e-4.
+    if k == 0.0:
+        phi, g2, h22 = _small_c_series(c, w, a)
+    else:
+        loga = np.log1p(-c)
+        with np.errstate(invalid="ignore"):      # 0/0 at z = 0, overwritten below
+            phi = loga / -c
+        g2 = -loga / k**2 - (1.0 / k - 1.0) * w / a
+        h22 = 2.0 * loga / k**3 + 2.0 * w / (k**2 * a) - (1.0 / k - 1.0) * (w / a) ** 2
+        small = np.abs(c) < 1e-4
+        if small.any():
+            phi[small], g2[small], h22[small] = _small_c_series(c[small], w[small], a[small])
     ll = float(-log_sigma * z.size - (1.0 - k) * np.sum(w * phi))
 
     g1 = -1.0 + (1.0 - k) * w / a
-    g2 = np.empty_like(w)
-    ws, as_ = w[small], a[small]
-    g2[small] = ws / as_ - ws * ws * (0.5 + (2.0 / 3.0) * cs + 0.75 * cs**2 + 0.8 * cs**3)
-
     h11 = -(1.0 - k) * w / (a * a)
     h12 = w * (w - 1.0) / (a * a)
-    h22 = np.empty_like(w)
-    h22[small] = ws**2 / as_**2 - ws**3 * (
-        2.0 / 3.0 + 1.5 * cs + 2.4 * cs**2 + (10.0 / 3.0) * cs**3
-    )
-    if np.any(big):
-        g2[big] = -loga[big] / k**2 - (1.0 / k - 1.0) * w[big] / a[big]
-        h22[big] = (
-            2.0 * loga[big] / k**3
-            + 2.0 * w[big] / (k**2 * a[big])
-            - (1.0 / k - 1.0) * (w[big] / a[big]) ** 2
-        )
 
     grad = np.array([g1.sum(), g2.sum()])
     hess = np.array([[h11.sum(), h12.sum()], [h12.sum(), h22.sum()]])

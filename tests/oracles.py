@@ -12,6 +12,7 @@ from scipy import stats
 
 from evtrisk.errors import DegenerateFitError, InputError, PoleError, TailError
 from evtrisk.gpd import K_EXP_LIMIT, _check_pole
+from evtrisk.ingest import PriceSeries, ReturnSeries, _parse_date, _read_rows
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
 from evtrisk.tail import empirical_quantile
 
@@ -44,6 +45,53 @@ def gpd_mle_grid_oracle(z, step=1e-3, refine_step=1e-4):
     k_ref = np.arange(k_best - 2 * step, k_best + 2 * step, refine_step)
     _, s_best, k_best = gpd_loglik_grid(z, s_ref[s_ref > 0], k_ref)
     return s_best, k_best
+
+
+def loglik_grad_hess_oracle(z, log_sigma, k):
+    """The masked log likelihood, gradient and Hessian in (log sigma, k) that
+    `gpd._loglik_grad_hess` replaced: the series and the general forms each
+    evaluated on their own boolean subset of the exceedances."""
+    sigma = math.exp(log_sigma)
+    w = z / sigma
+    c = k * w
+    a = 1.0 - c
+    if np.any(a <= 0.0) or np.any(w < 0.0):
+        return -np.inf, None, None
+
+    small = np.abs(c) < 1e-4
+    if k == 0.0:
+        small = np.ones_like(c, dtype=bool)
+    big = ~small
+    loga = np.log1p(-c)
+
+    phi = np.empty_like(w)
+    np.divide(loga, -c, out=phi, where=big)
+    cs = c[small]
+    phi[small] = 1.0 + cs / 2.0 + cs**2 / 3.0 + cs**3 / 4.0 + cs**4 / 5.0
+    ll = float(-log_sigma * z.size - (1.0 - k) * np.sum(w * phi))
+
+    g1 = -1.0 + (1.0 - k) * w / a
+    g2 = np.empty_like(w)
+    ws, as_ = w[small], a[small]
+    g2[small] = ws / as_ - ws * ws * (0.5 + (2.0 / 3.0) * cs + 0.75 * cs**2 + 0.8 * cs**3)
+
+    h11 = -(1.0 - k) * w / (a * a)
+    h12 = w * (w - 1.0) / (a * a)
+    h22 = np.empty_like(w)
+    h22[small] = ws**2 / as_**2 - ws**3 * (
+        2.0 / 3.0 + 1.5 * cs + 2.4 * cs**2 + (10.0 / 3.0) * cs**3
+    )
+    if np.any(big):
+        g2[big] = -loga[big] / k**2 - (1.0 / k - 1.0) * w[big] / a[big]
+        h22[big] = (
+            2.0 * loga[big] / k**3
+            + 2.0 * w[big] / (k**2 * a[big])
+            - (1.0 / k - 1.0) * (w[big] / a[big]) ** 2
+        )
+
+    grad = np.array([g1.sum(), g2.sum()])
+    hess = np.array([[h11.sum(), h12.sum()], [h12.sum(), h22.sum()]])
+    return ll, grad, hess
 
 
 # GPD density, CDF and limit matrices.  No estimator path evaluates them;
@@ -535,3 +583,51 @@ def read_rows_oracle(path, columns):
                 raise InputError(f"{path}: missing column {col!r} (header: {header})")
         for i, record in enumerate(reader, start=1):
             yield i, {col: (record.get(col) or "").strip() for col in columns}
+
+
+def load_prices_oracle(path, date_col="date", price_col="price"):
+    """The row-by-row price loader that `ingest.load_prices` replaced."""
+    timestamps = []
+    prices = []
+    previous = None
+    for row, (date_text, raw_price) in _read_rows(path, (date_col, price_col)):
+        if not raw_price:
+            raise InputError(f"row {row}: blank price")
+        try:
+            price = float(raw_price)
+        except ValueError:
+            raise InputError(f"row {row}: unparseable price {raw_price!r}") from None
+        if not math.isfinite(price):
+            raise InputError(f"row {row}: non-finite price {price!r}")
+        if price <= 0:
+            raise InputError(f"row {row}: non-positive price {price!r}")
+        stamp = _parse_date(date_text, row)
+        if previous is not None:
+            if (stamp.tzinfo is None) != (previous.tzinfo is None):
+                raise InputError(f"row {row}: dates with and without a UTC offset are mixed")
+            if stamp <= previous:
+                raise InputError(f"row {row}: timestamps not increasing")
+        previous = stamp
+        timestamps.append(date_text)
+        prices.append(price)
+    if len(prices) < 2:
+        raise InputError(f"{path}: need at least 2 price rows, got {len(prices)}")
+    return PriceSeries(tuple(timestamps), np.array(prices))
+
+
+def load_returns_oracle(path, value_col="return"):
+    """The row-by-row return loader that `ingest.load_returns` replaced."""
+    values = []
+    for row, (raw,) in _read_rows(path, (value_col,)):
+        if not raw:
+            raise InputError(f"row {row}: blank value")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise InputError(f"row {row}: unparseable value {raw!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"row {row}: non-finite value")
+        values.append(value)
+    if not values:
+        raise InputError(f"{path}: no data rows")
+    return ReturnSeries(np.array(values), kind="raw")

@@ -15,6 +15,7 @@ from oracles import (
     gpd_logpdf,
     gpd_mle_grid_oracle,
     h_inv_numeric,
+    loglik_grad_hess_oracle,
     rho_oracle,
 )
 from evtrisk.errors import EstimationWarning, InputError, PoleError, TailError
@@ -104,6 +105,40 @@ def test_mle_recovers_parameters():
     _, grad, hess = _loglik_grad_hess(np.sort(z), math.log(params.sigma), params.k)
     assert np.max(np.abs(grad)) < 1e-9
     assert np.all(np.linalg.eigvalsh(hess) <= 1e-6)
+
+
+def _loglik_cases(seed, count):
+    """(z, log sigma, k): k = 0, |k| < 1e-5, k putting |k w| on both sides
+    of the 1e-4 series cut, and k anywhere in the search domain, which
+    puts some cases outside the support; every third z has zero entries."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(5, 300))
+        z = gpd_quantile(rng.random(n), GpdParams(float(rng.uniform(0.2, 3.0)),
+                                                  float(rng.uniform(-0.6, 0.3))))
+        if i % 3 == 0:
+            z[rng.integers(0, n, size=int(rng.integers(1, 4)))] = 0.0
+        log_sigma = math.log(rng.uniform(0.2, 3.0))
+        w = z / math.exp(log_sigma)
+        k = [
+            0.0,
+            float(rng.uniform(-1e-5, 1e-5)),
+            float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-4 / np.median(w[w > 0])),
+            float(rng.uniform(-0.9, 0.9)),
+        ][i % 4]
+        yield z, log_sigma, k
+
+
+def test_loglik_matches_masked_oracle_bitwise():
+    def bits(out):
+        return [None if v is None else np.asarray(v, dtype=float).tobytes() for v in out]
+
+    outside = 0
+    for z, log_sigma, k in _loglik_cases(2024, 2000):
+        expect = loglik_grad_hess_oracle(z, log_sigma, k)
+        assert bits(_loglik_grad_hess(z, log_sigma, k)) == bits(expect), (log_sigma, k)
+        outside += expect[1] is None
+    assert 0 < outside < 2000
 
 
 def test_mle_matches_grid_oracle():

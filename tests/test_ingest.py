@@ -1,3 +1,8 @@
+import datetime
+import random
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 from evtrisk.errors import InputError
 from evtrisk.ingest import (
+    _SLICE_ROWS,
     PriceSeries,
     ReturnSeries,
     _parse_date,
@@ -13,7 +19,7 @@ from evtrisk.ingest import (
     load_returns,
     to_returns,
 )
-from oracles import parse_date_oracle, read_rows_oracle
+from oracles import load_prices_oracle, load_returns_oracle, parse_date_oracle, read_rows_oracle
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -51,6 +57,13 @@ def test_load_prices_blank_price_rejected(tmp_path):
 def test_load_prices_missing_column(tmp_path):
     path = write_csv(tmp_path, "date,close\n2020-01-01,100\n")
     with pytest.raises(InputError, match="missing column 'price'"):
+        load_prices(path)
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "-inf", "Infinity"])
+def test_load_prices_non_finite_price_is_named(tmp_path, text):
+    path = write_csv(tmp_path, f"date,price\n2020-01-01,100\n2020-01-02,{text}\n")
+    with pytest.raises(InputError, match=rf"^row 2: non-finite price {float(text)!r}$"):
         load_prices(path)
 
 
@@ -202,3 +215,179 @@ def test_read_rows_matches_dictreader_oracle(tmp_path, case, columns):
     slow = _outcome(lambda: [(row, tuple(rec[col] for col in columns))
                              for row, rec in read_rows_oracle(path, columns)])
     assert fast == slow
+
+
+# Whole files against the row-by-row loaders in tests/oracles.py: the same
+# series bit for bit, or the same error text.
+
+_HEADERS = (                        # requested columns are "date" and "price"
+    ("date", "price"),
+    ("price", "date"),
+    ("date", "price", "volume"),    # rows may stop before "volume"
+    ("id", "date", "note", "price"),
+    ("price", "date", "price"),     # a repeated name reads its last column
+)
+_DATE_FORMS = {
+    "iso": lambda d: d.strftime("%Y-%m-%d"),
+    "slash": lambda d: d.strftime("%Y/%m/%d"),
+    "us": lambda d: d.strftime("%m/%d/%Y"),
+    "unpadded": lambda d: f"{d.year}-{d.month}-{d.day}",
+    "offset": lambda d: d.strftime("%Y-%m-%dT%H:%M+01:00"),
+    "zulu": lambda d: d.strftime("%Y-%m-%dT%H:%MZ"),
+}
+_ROW_FAULTS = {                     # price or value text, date text
+    "blank": (["", " "], None),
+    "unparseable": (["abc", "1.2.3", "--1", "1,5"], None),
+    "non-finite": (["inf", "nan", "-inf", "Infinity", "1e999"], None),
+    "non-positive": (["0", "-1.5", "-0", "0.0"], None),
+    "date": (None, ["2020-02-30", "someday", "", "2020-13-01T00:00Z"]),
+    "offset-mix": (None, None),
+    "not-increasing": (None, None),
+}
+_SYNTAX_FAULTS = ("short-row", "open-quote", "text-after-quote")
+_FILE_FAULTS = ("not-utf8", "missing-column", "empty-file", "too-few-rows")
+
+
+def _quote(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def _csv_files(draw, prices, faults, min_rows=0, max_rows=25, fault_from=0):
+    """Bytes of a headered CSV file for `load_prices` (prices=True) or
+    `load_returns`, with `faults` faults: 0, 1 or 2 in data rows from
+    `fault_from` (0-based) on, or "file" for one of `_FILE_FAULTS`."""
+    file_fault = draw(st.sampled_from(_FILE_FAULTS)) if faults == "file" else None
+    if file_fault == "too-few-rows":
+        n = draw(st.integers(0, 1))
+    else:
+        n = draw(st.integers(max(min_rows, 2 if prices else 1), max(max_rows, min_rows)))
+    if prices:
+        header = list(draw(st.sampled_from(_HEADERS)))
+        form = draw(st.sampled_from(sorted(_DATE_FORMS)))
+    else:
+        header = draw(st.sampled_from([["return"], ["x", "return"], ["return", "x", "return"]]))
+    value_col = "price" if prices else "return"
+    last = {name: i for i, name in enumerate(header)}
+    needed = max(last[name] for name in (("date", value_col) if prices else (value_col,)))
+
+    # Per-row choices come from one drawn seed, so a long file is a small example.
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    stamps = [datetime.datetime(1995, 1, 1) + datetime.timedelta(days=rnd.randrange(9000))]
+    for _ in range(n - 1):
+        stamps.append(stamps[-1] + datetime.timedelta(days=rnd.randint(1, 3)))
+    lo, hi = (-3.0, 6.0) if prices else (-1.0, 1.0)
+    values = [str(rnd.randint(1, 999)) if rnd.random() < 0.2
+              else repr(10**rnd.uniform(lo, hi) if prices else rnd.uniform(lo, hi))
+              for _ in range(n)]
+    rows = []
+    for i in range(n):
+        fields = {name: "x" for name in header}
+        if prices:
+            fields["date"] = _DATE_FORMS[form](stamps[i])
+        fields[value_col] = values[i]
+        rows.append([fields[name] if last[name] == j else "junk" for j, name in enumerate(header)])
+
+    kinds = list(_ROW_FAULTS) if prices else ["blank", "unparseable", "non-finite"]
+    kinds += _SYNTAX_FAULTS
+    placed = []
+    for _ in range(faults if isinstance(faults, int) else 0):
+        if n <= fault_from:
+            break
+        i, kind = draw(st.integers(fault_from, n - 1)), draw(st.sampled_from(kinds))
+        placed.append((i, kind))
+        texts, dates = _ROW_FAULTS.get(kind, (None, None))
+        if texts:
+            rows[i][last[value_col]] = draw(st.sampled_from(texts))
+        elif dates:
+            rows[i][last["date"]] = draw(st.sampled_from(dates))
+        elif kind == "offset-mix":
+            other = "iso" if form in ("offset", "zulu") else "offset"
+            rows[i][last["date"]] = _DATE_FORMS[other](stamps[i])
+        elif kind == "not-increasing":
+            j = draw(st.sampled_from([j for j in (i - 1, i + 1, i - 2) if 0 <= j < n]))
+            rows[i][last["date"]] = rows[j][last["date"]]
+
+    lines = []
+    for i, fields in enumerate(rows):
+        fields = [f" {f} " if rnd.random() < 0.1 else f for f in fields]
+        fields = [_quote(f) if rnd.random() < 0.15 or "," in f else f for f in fields]
+        if header[-1] == "volume" and rnd.random() < 0.5:
+            fields = fields[:-1]                                    # short, but complete
+        for at, kind in placed:
+            if at != i:
+                continue
+            if kind == "short-row":
+                fields = fields[:needed]
+            elif kind == "open-quote":
+                fields[0] = '"' + fields[0]
+            elif kind == "text-after-quote":
+                fields[0] = _quote(fields[0]) + "x"
+        lines.append(",".join(fields))
+    if file_fault == "missing-column":
+        header[last[value_col]] = "close"
+    lines.insert(0, ",".join(header))
+    for _ in range(draw(st.integers(0, 3))):                      # blank lines
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    data = text.encode("utf-8")
+    if file_fault == "not-utf8" and n:
+        at = draw(st.integers(len(lines[0]) + 1, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return b"" if file_fault == "empty-file" else data
+
+
+def _loaded(load, data):
+    """The series a loader gives, as bytes, or the text of its InputError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        try:
+            series = load(path)
+        except InputError as exc:
+            return "error", str(exc).replace(str(path), "<path>")
+    if isinstance(series, PriceSeries):
+        return "ok", series.timestamps, series.prices.dtype, series.prices.tobytes()
+    return "ok", series.kind, series.values.dtype, series.values.tobytes()
+
+
+_FAULTS = st.sampled_from([0, 1, 2, "file"])
+
+
+@given(_FAULTS.flatmap(lambda f: _csv_files(True, f)))
+@settings(max_examples=400, deadline=None)
+def test_load_prices_matches_row_oracle(data):
+    assert _loaded(load_prices, data) == _loaded(load_prices_oracle, data)
+
+
+@given(_FAULTS.flatmap(lambda f: _csv_files(False, f)))
+@settings(max_examples=250, deadline=None)
+def test_load_returns_matches_row_oracle(data):
+    assert _loaded(load_returns, data) == _loaded(load_returns_oracle, data)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_loaders_match_row_oracle_past_one_slice(data):
+    """Files longer than one read slice, valid or with one fault, which
+    lies in the last slice."""
+    prices = data.draw(st.booleans())
+    n = data.draw(st.integers(_SLICE_ROWS + 1, _SLICE_ROWS + 200))
+    faults = data.draw(st.sampled_from([0, 1]))
+    blob = data.draw(_csv_files(prices, faults, min_rows=n, max_rows=n, fault_from=_SLICE_ROWS))
+    load, oracle = ((load_prices, load_prices_oracle) if prices
+                    else (load_returns, load_returns_oracle))
+    assert _loaded(load, blob) == _loaded(oracle, blob)
+
+
+@pytest.mark.parametrize("last, message", [
+    ("2000-01-03", "timestamps not increasing"),
+    ("1999-12-31T00:00+01:00", "dates with and without a UTC offset are mixed"),
+])
+def test_load_prices_checks_dates_across_slices(tmp_path, last, message):
+    day = datetime.date(1990, 1, 1)
+    lines = [f"{day + datetime.timedelta(days=i)},1" for i in range(_SLICE_ROWS - 1)]
+    lines += ["2000-01-03,2", f"{last},3"]
+    path = write_csv(tmp_path, "date,price\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=f"^row {_SLICE_ROWS + 1}: {message}$"):
+        load_prices(path)
