@@ -11,17 +11,20 @@ duration tests (Christoffersen & Pelletier, 2004) compare a Weibull fit of
 the gaps between violations, maximised over its shape with the scale
 profiled out, against exponential nulls with a free rate (independence) or
 rate 1 - a (conditional coverage); the first and last gaps are censored.
+
+Only the tests call scipy: `coverage_test` and `duration_tests` import
+`scipy.special` when called.  The forecast windows reach only `risk`, which
+loads no scipy, so the workers of `rolling_forecast`'s pool need none, and
+the parent loads it after the pool has finished.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import EstimationWarning, EvtriskError, InputError
 from .gpd import fit_tail
@@ -109,6 +112,8 @@ def rolling_forecast(
     N = cfg.tail_count(cfg.n - 1)
     jobs = [(values, t, cfg.n, N, cfg.a_levels) for t in steps]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(_forecast_window, jobs, chunksize=8))
     else:
@@ -145,6 +150,8 @@ def rolling_forecast(
 
 def coverage_test(violations, a: float):
     """Two-sided normal test of the violation count against (m-n)(1-a)."""
+    from scipy import special
+
     viol = np.asarray(violations, dtype=bool)
     if viol.size == 0:
         raise InputError("empty violation sequence")
@@ -231,6 +238,8 @@ def duration_tests(violations, a: float):
     1/(1-a)).  First and last durations are censored.  Returns (None, None)
     when fewer than two violations make the likelihood unusable.
     """
+    from scipy import special
+
     viol = np.asarray(violations, dtype=bool)
     if int(viol.sum()) < 2:
         return None, None

@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -89,6 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write per-step forecast CSV (date, return, cvar, ces)")
     _add_common_flags(bt, threads=True, timestamp=True)
     return parser
+
+
+# Parsing leaves the parser unchanged, so one tree serves every main() call
+# of a process; building it costs about a millisecond.
+_parser = functools.cache(build_parser)
 
 
 def _resolve_threads(args) -> int:
@@ -355,9 +361,8 @@ def _cmd_backtest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

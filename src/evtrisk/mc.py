@@ -10,17 +10,21 @@ Student-t(v) innovations drawn from a counter-based stream per replication.
 of the innovation's quantile and tail mean.  Each replication scores both
 estimator arms against the exact conditional CVaR/CES at the path's last
 observation, built from the path's own next-step variance.
+
+Only the simulator and the truths call scipy, so `scipy.special` is
+imported inside `_t_pdf`, `_t_risk_std` and `_simulate`, and importing this
+module loads no scipy.  `run_experiment` imports it in the parent before it
+creates its process pool: forked workers then inherit the loaded module
+instead of each importing it again on every command.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, EvtriskError, InputError
 from .gpd import fit_tail
@@ -83,6 +87,8 @@ def _t_std_factor(v: int) -> float:
 def _t_pdf(c, v: int):
     """Student-t(v) density at c, in the numpy operations scipy.stats.t.pdf
     uses, so that it gives the same bits without importing scipy.stats."""
+    from scipy import special
+
     log_pdf = (np.log(special.poch(0.5 * v, 0.5)) - 0.5 * (np.log(v) + np.log(np.pi))
                - (v + 1) / 2 * np.log1p(c * c / v))
     return np.exp(log_pdf)
@@ -95,6 +101,8 @@ def _t_risk_std(a: float, v: int) -> tuple[float, float]:
 
     Every replication of a design asks for the same few (a, v) pairs.
     """
+    from scipy import special
+
     scale = _t_std_factor(v)
     c = special.stdtrit(v, a)
     raw = _t_pdf(c, v) * (v + c * c) / ((v - 1.0) * (1.0 - a))
@@ -123,6 +131,8 @@ class SimPath:
 
 
 def _simulate(design: McDesign, rep: int = 0) -> SimPath:
+    from scipy import special
+
     u = _rng(design.seed, rep).random(BURN_IN + design.n)
     eps = special.stdtrit(design.v, u) / _t_std_factor(design.v)
     y, h = [], []
@@ -256,6 +266,13 @@ def run_experiment(design: McDesign, threads: int) -> McResult:
     """
     jobs = [(design, rep) for rep in range(design.reps)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Every replication calls scipy.special.  Loaded here, before the
+        # pool forks its workers, it is inherited by them; otherwise each
+        # worker would import it again on every command.
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(_replicate_star, jobs, chunksize=4))
     else:

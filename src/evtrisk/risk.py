@@ -9,13 +9,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import EstimationWarning, InputError, PoleError, TailError
 from .gpd import K_EXP_LIMIT, A_matrix, H_inv, TailFit, Vb_matrix, d_hat
 from .smoothing import LocationScaleFit
 
-CI_Z = float(special.ndtri(0.975))  # two-sided 95% normal quantile
+# Two-sided 95% normal quantile, float(scipy.special.ndtri(0.975)) written out
+# so that importing this module loads no scipy (tests/test_imports.py pins it).
+CI_Z = 1.959963984540054
 
 
 def _extrapolation(q_tilde, sigma, k, ratio):
@@ -167,13 +168,36 @@ def _v_row(k: float, rho: float, z: float) -> np.ndarray:
     )
 
 
-def _cq(k: float, rho: float, z: float) -> np.ndarray:
-    return k * (_cb(k, z) @ H_inv(k)) @ A_matrix(k, rho) + _v_row(k, rho, z)
+def _cq(k: float, rho: float, z: float, hi: np.ndarray, am: np.ndarray) -> np.ndarray:
+    """The corrected quantile's row, from hi = H_inv(k) and am = A_matrix(k, rho)."""
+    return k * (_cb(k, z) @ hi) @ am + _v_row(k, rho, z)
+
+
+def _shortfall_row(k: float, cq: np.ndarray, hi: np.ndarray, am: np.ndarray) -> np.ndarray:
+    return cq - (hi[1] @ am) / (1.0 + k)
+
+
+def _upsilon(k: float, rho: float, z: float) -> np.ndarray:
+    """What the CES correction adds to the shortfall row."""
+    d = d_hat(k, rho)
+    denom = d * (rho + 1.0 / k + 1.0)
+    if abs(denom) < 1e-12:
+        raise PoleError("rho + 1/k + 1 vanishes in the shortfall variance")
+    zr = z**rho
+    return np.array(
+        [
+            0.0,
+            0.0,
+            zr * k * (-2.0 - 4.0 * k) / denom,
+            k * zr / denom,
+            4.0 * k * k * zr / denom,
+        ]
+    )
 
 
 def sigma1_b(k: float, rho: float, z: float) -> float:
     """Asymptotic variance of the bias-corrected tail quantile."""
-    cq = _cq(k, rho, z)
+    cq = _cq(k, rho, z, H_inv(k), A_matrix(k, rho))
     return float(cq @ Vb_matrix(k) @ cq)
 
 
@@ -190,33 +214,18 @@ def sigma2(k: float, z: float) -> float:
     return float(vec @ _v1(k) @ vec)
 
 
-def _shortfall_row(k: float, rho: float, z: float) -> np.ndarray:
-    return _cq(k, rho, z) - (H_inv(k)[1] @ A_matrix(k, rho)) / (1.0 + k)
-
-
 def sigma2_b(k: float, rho: float, z: float) -> float:
     """Asymptotic variance of the bias-corrected innovation shortfall."""
-    row = _shortfall_row(k, rho, z)
+    hi, am = H_inv(k), A_matrix(k, rho)
+    row = _shortfall_row(k, _cq(k, rho, z, hi, am), hi, am)
     return float(row @ Vb_matrix(k) @ row)
 
 
 def sigma3_b(k: float, rho: float, z: float) -> float:
     """Asymptotic variance of the bias-corrected conditional shortfall."""
-    d = d_hat(k, rho)
-    denom = d * (rho + 1.0 / k + 1.0)
-    if abs(denom) < 1e-12:
-        raise PoleError("rho + 1/k + 1 vanishes in the shortfall variance")
-    zr = z**rho
-    upsilon = np.array(
-        [
-            0.0,
-            0.0,
-            zr * k * (-2.0 - 4.0 * k) / denom,
-            k * zr / denom,
-            4.0 * k * k * zr / denom,
-        ]
-    )
-    row = _shortfall_row(k, rho, z) + upsilon
+    upsilon = _upsilon(k, rho, z)
+    hi, am = H_inv(k), A_matrix(k, rho)
+    row = _shortfall_row(k, _cq(k, rho, z, hi, am), hi, am) + upsilon
     return float(row @ Vb_matrix(k) @ row)
 
 
@@ -360,10 +369,16 @@ def assemble(tail: TailFit, a: float, x: float, m_x: float, h_x: float) -> RiskE
 
     # Interval variances at the corrected shape: the coverage probabilities
     # of the reported simulations are only reproduced at this plug-in.
+    # These are sigma1_b, sigma2_b and sigma3_b, sharing one evaluation of
+    # each matrix and row; a pole raises in the order those three raise.
     rho, N = tail.rho_hat, tail.sample.N
-    out.sigma1_b = sigma1_b(k_b, rho, z_hat)
-    out.sigma2_b = sigma2_b(k_b, rho, z_hat)
-    out.sigma3_b = sigma3_b(k_b, rho, z_hat)
+    hi, am, vb = H_inv(k_b), A_matrix(k_b, rho), Vb_matrix(k_b)
+    cq = _cq(k_b, rho, z_hat, hi, am)
+    row = _shortfall_row(k_b, cq, hi, am)
+    row3 = row + _upsilon(k_b, rho, z_hat)
+    out.sigma1_b = float(cq @ vb @ cq)
+    out.sigma2_b = float(row @ vb @ row)
+    out.sigma3_b = float(row3 @ vb @ row3)
     out.ci_cvar = asymptotic_ci(out.cvar_bc, out.sigma1_b, N)
     out.ci_ces = asymptotic_ci(out.ces_bc, out.sigma3_b, N)
     return out

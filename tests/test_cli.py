@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -410,3 +413,34 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _fresh_process_main(argv) -> None:
+    """Run `python -m evtrisk.cli argv` in a new interpreter on this src/."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "evtrisk.cli", *argv],
+                   env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                   check=True, timeout=300)
+
+
+def test_repeated_main_calls_match_fresh_processes(returns_csv, tmp_path):
+    # main() reuses one parser per process: flags given to one call must not
+    # reach the next, so each report equals that of a fresh process.
+    rng = np.random.default_rng(31)
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("return\n" + "\n".join(
+        repr(float(v)) for v in rng.standard_t(6, size=1500) / math.sqrt(6 / 4)),
+        encoding="utf-8")
+    commands = [
+        ["estimate", "--returns", str(returns_csv), "--no-bias-correction"],
+        ["estimate", "--returns", str(returns_csv)],
+        ["backtest", "--returns", str(long_csv), "--m", "1200", "--n", "1000",
+         "--a", "0.99", "--B-boot", "99", "--seed", "4", "--threads", "2"],
+        ["backtest", "--returns", str(long_csv), "--threads", "2"],
+    ]
+    for i, argv in enumerate(commands):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert main([*argv, "--no-timestamp", "--out", str(here)]) == 0
+        _fresh_process_main([*argv, "--no-timestamp", "--out", str(fresh)])
+        assert here.read_bytes() == fresh.read_bytes()

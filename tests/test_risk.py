@@ -378,6 +378,20 @@ def test_assemble_matches_oracle(params, corrected):
                 assert got[1] == pytest.approx(expect[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("params", ASSEMBLY_GRID)
+def test_assemble_variances_equal_the_sigma_functions(params):
+    # assemble evaluates the pieces its three variances share once; each
+    # variance still equals its public function bit for bit.
+    tail = tail_fixture(**params)
+    for a in (0.95, 0.99, 0.999):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = assemble(tail, a, 0.7, 0.3, 2.5)
+        args = (tail.params_bc.k, tail.rho_hat, est.Z_hat)
+        assert (est.sigma1_b, est.sigma2_b, est.sigma3_b) == (
+            sigma1_b(*args), sigma2_b(*args), sigma3_b(*args))
+
+
 def test_estimate_at_uncorrected_tail_fit():
     # The tail fit alone decides the correction: an uncorrected fit yields the
     # uncorrected estimates, the same as beside a corrected fit, and no more.

@@ -1,11 +1,12 @@
 import pathlib
+import random
 import types
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -330,8 +331,14 @@ def _run(module, fit, queries, x, y, h, strict):
 
 
 def assert_matches_dense(queries, x, y, h, strict=False, tol=1e-10):
-    """The windowed fit agrees with the dense oracle: levels and slopes within
-    tol * max|dense|, the same widened queries and the same errors."""
+    """The windowed fit agrees with the dense oracle: levels within
+    tol * max|y| and slopes within tol * max|y| / h, or tol * max|dense| where
+    that is larger; the same widened queries and the same errors.
+
+    The tolerance scales with the data: where every true slope is near 0,
+    max|dense| alone is itself rounding noise.  A level extrapolated far
+    outside the data can exceed max|y|, and then rounds at its own size.
+    """
     fast, fast_widened = _run(smoothing, windowed_fit, queries, x, y, h, strict)
     dense, dense_widened = _run(oracles, oracles.local_linear_dense, queries, x, y, h, strict)
     np.testing.assert_array_equal(fast_widened, dense_widened)
@@ -339,8 +346,9 @@ def assert_matches_dense(queries, x, y, h, strict=False, tol=1e-10):
         assert fast == dense
         return dense
     assert not isinstance(fast, str), fast
-    for got, want in zip(fast, dense):
-        scale = float(np.max(np.abs(want)))
+    level_scale = float(np.max(np.abs(y)))
+    for got, want, scale in zip(fast, dense, (level_scale, level_scale / h)):
+        scale = max(scale, float(np.max(np.abs(want))))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
     return dense
 
@@ -455,6 +463,11 @@ def test_windowed_fit_queries_outside_data():
     st.floats(-50.0, 50.0),
 )
 @settings(max_examples=80, deadline=None)
+# Two tied pairs at h = 0.5: every window holds one distinct x, and the
+# slopes are at most 6.7e-4 in size on y of about 8 (random.Random(19485)
+# draws y = 8.707, 7.142, 7.195, 8.653).  A tolerance scaled by max|dense
+# slope| (6.7e-14) failed this case on rounding differences of about 1e-13.
+@example([0, 0, 1, 1], random.Random(19485), 0, 1.0, 0.0)
 def test_windowed_fit_matches_dense_property(grid, rand, k, scale, shift):
     # Covariates on a grid (with ties) and a half-integer bandwidth keep each
     # point at least half a grid step from the kernel's edge, where weights
