@@ -99,15 +99,17 @@ _parser = functools.cache(build_parser)
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("EVTRISK_THREADS")
-        try:
-            value = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise InputError(f"EVTRISK_THREADS must be an integer, got {env!r}") from None
+        if args.threads < 1:
+            raise InputError("--threads must be at least 1")
+        return args.threads
+    env = os.environ.get("EVTRISK_THREADS")
+    try:
+        value = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise InputError(f"EVTRISK_THREADS must be an integer, got {env!r}") from None
     if value < 1:
-        raise InputError("--threads must be at least 1")
+        raise InputError(
+            f"EVTRISK_THREADS must be at least 1, got {env!r}; pass --threads to override")
     return value
 
 

@@ -11,21 +11,24 @@ query.  The Epanechnikov weight is a polynomial on its support, so the sums
 s0..s2 and t0, t1 of a query are combinations of windowed power sums of the
 covariate (powers up to 4) and of covariate times response (powers up to 3):
 the "updating" method of Fan & Marron (1994) and Seifert, Brockmann, Engel &
-Gasser (1994).  The design is sorted once, each query's window [q-h, q+h]
-is found by binary search, and the queries are grouped into blocks of extent
-at most h.  Each block recentres its power sums on the data of its middle
-window; one global origin would lose about (span/h)^4 to cancellation.  A
-fit at m queries costs O((n + m) log n) for the sorts and searches plus
-O(n span/h) for the blocks' partial sums.  Only the window sums are taken
-block by block; the weights, the degeneracy test and the line solve run
-once over all queries.  So one query, such as m_hat(x), costs O(log n + w)
-for the w points of its window plus a fixed number of array operations.
-A degenerate query is refit with its bandwidth widened to reach its
-nearest neighbours, whose radius is found on the sorted design in
-O(log n + k) for the k points within it.  The dense fit, which evaluates
-the kernel at every point for every query, and the full sort of the
-distances for the widening are kept as the test oracles
-``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
+Gasser (1994).  The design is sorted once, and each query's window, the
+points strictly between fl(q - h) and fl(q + h), is found by one binary
+search per end: the rule tail._cdf_sorted uses for the CDF's window.  It
+differs from the weight's support -1 < (x - q)/h < 1 only at a point within
+rounding of an end, whose weight is within rounding of 0.  The queries are
+grouped into blocks of extent at most h.  Each block recentres its power
+sums on the data of its middle window; one global origin would lose about
+(span/h)^4 to cancellation.  A fit at m queries costs O((n + m) log n) for
+the sorts and searches plus O(n span/h) for the blocks' partial sums.  Only
+the window sums are taken block by block; the weights, the degeneracy test
+and the line solve run once over all queries.  So one query, such as
+m_hat(x), costs O(log n + w) for the w points of its window plus a fixed
+number of array operations.  A degenerate query is refit with its
+bandwidth widened to reach its nearest neighbours, whose radius is found
+on the sorted design in O(log n + k) for the k points within it.  The
+dense fit, which evaluates the kernel at every point for every query, and
+the full sort of the distances for the widening are kept as the test
+oracles ``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -82,55 +85,10 @@ def _nn_bandwidth(q, xs, h):
         radius = farther.min()
 
 
-def _first_inside(xs, start, inside):
-    """First index of sorted xs at which the monotone test inside(values, rows)
-    turns true, per row, searched from `start` one distinct value at a time."""
-    b = start.copy()
-    rows = np.arange(b.size)
-    while True:
-        back = b > 0
-        back[back] = inside(xs[b[back] - 1], rows[back])
-        ahead = b < xs.size
-        ahead[ahead] = ~inside(xs[b[ahead]], rows[ahead])
-        if not (back.any() or ahead.any()):
-            return b
-        b[back] = np.searchsorted(xs, xs[b[back] - 1], side="left")
-        b[ahead] = np.searchsorted(xs, xs[b[ahead]], side="right")
-
-
-# The two ends of a query's support are q - h and q + h.  A point lies at or
-# above the lower end iff t = (x - q)/h > -1 and at or above the upper end iff
-# t >= 1.  Each searched end is checked on four rows: the design points just
-# below and at the lower end, then just below and at the upper end.
-_END_SIGNS = np.array([[-1.0], [1.0]])
-_CHECK_ENDS = np.array([0, 0, 1, 1])
-_CHECK_SHIFTS = np.array([[-1], [0], [-1], [0]])
-_CHECK_TESTS = np.array([[-1.0], [-1.0], [np.nextafter(1.0, 0.0)], [np.nextafter(1.0, 0.0)]])
-_CHECK_ABOVE = np.array([[False], [True], [False], [True]])
-
-
 def _support(xs, q, h):
-    """Index range [lo, hi) of sorted xs with positive weight at each query.
-
-    The weight is positive iff -1 < (x - q)/h < 1 in floating point.  A
-    binary search on q -+ h lands within rounding of each end, so that test
-    is applied to the design points just below and at each landing place
-    only.  The rare end it misplaces is searched for one distinct value at a
-    time.
-    """
-    ends = xs.searchsorted(q + _END_SIGNS * h)
-    around = ends[_CHECK_ENDS] + _CHECK_SHIFTS
-    above = (xs.take(around, mode="clip") - q) / h > _CHECK_TESTS
-    misplaced = above != _CHECK_ABOVE
-    if np.count_nonzero(misplaced):
-        # Indices -1 and n lie past the design's ends, where take() read a
-        # clipped neighbour instead: nothing is misplaced there.
-        misplaced &= (around >= 0) & (around < xs.size)
-    if not np.count_nonzero(misplaced):
-        return ends[0], ends[1]
-    lo = _first_inside(xs, ends[0], lambda v, r: (v - q[r]) / h > -1.0)
-    hi = _first_inside(xs, ends[1], lambda v, r: (v - q[r]) / h >= 1.0)
-    return lo, hi
+    """Index range [lo, hi) of sorted xs strictly between the rounded ends
+    fl(q - h) and fl(q + h) of each query's window, as in tail._cdf_sorted."""
+    return xs.searchsorted(q - h, "right"), xs.searchsorted(q + h, "left")
 
 
 def _partial_sums(terms, cuts):
@@ -149,7 +107,7 @@ def _window_sums(xs, ys, qs, lo, hi, h):
     """Windowed power sums about a centre near each sorted query.
 
     Returns the rows n, T0, S1, T1, S2, T2, S3, T3, S4, 0 of the sums of
-    S_p = d^p and T_p = d^p y over each query's support [lo, hi) of the
+    S_p = d^p and T_p = d^p y over each query's window [lo, hi) of the
     sorted design xs, where d = x - c, and the centre c of each query.
     Queries are grouped into blocks of extent at most h; a block's centre c
     is the mean of the design points in its middle query's window.

@@ -1,6 +1,20 @@
 """Independent oracle implementations shared by the unit and acceptance
-suites.  Everything here is written against the closed forms directly,
-without reusing the package's own composition paths."""
+suites, written against the closed forms or as the slow paths that faster
+code replaced.
+
+Most oracles use nothing of the package but its error types, its series
+containers and the constant and pole check of evtrisk.gpd.  Four build on package pieces that
+tests check on their own, so that each compares one replaced step and not
+its inputs:
+- ``load_prices_oracle`` and ``load_returns_oracle`` read rows with
+  ``ingest._read_rows`` and parse dates with ``ingest._parse_date``
+  (checked against ``read_rows_oracle`` and ``parse_date_oracle``);
+- ``assembly_oracle`` recombines ``risk.q_eps``, ``risk.q_eps_bc`` and
+  ``risk.es_bias_term`` (checked against fixtures, ``q_bc_oracle`` and
+  ``b_e_oracle``) with its own interval algebra;
+- ``rho_oracle`` takes its empirical thresholds from
+  ``tail.empirical_quantile``.
+"""
 
 import csv
 import math
@@ -471,7 +485,10 @@ def _nn_bandwidth(q, x, h):
 def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
     """The dense local-linear fit the windowed power-sum path replaced: the
     kernel evaluated at all n points for every query, in chunks of queries,
-    with the same degeneracy test and nearest-neighbor fallback."""
+    with the same degeneracy test and nearest-neighbor fallback.  The weight
+    0.75 (1 - ((x - q)/h)^2) counts on the window fl(q - h) < x < fl(q + h)
+    that evtrisk.smoothing uses, and the 3-point test counts the points in
+    that window."""
     queries = np.atleast_1d(np.asarray(queries, dtype=float))
     levels = np.empty(queries.size)
     slopes = np.empty(queries.size)
@@ -479,8 +496,9 @@ def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
     for start in range(0, queries.size, chunk):
         q = queries[start : start + chunk]
         xc = x[None, :] - q[:, None]
-        w = epan_weight(xc / h)
-        npos = np.count_nonzero(w > 0.0, axis=1)
+        inside = (x > (q - h)[:, None]) & (x < (q + h)[:, None])
+        w = np.where(inside, 0.75 * (1.0 - (xc / h) ** 2), 0.0)
+        count = np.count_nonzero(inside, axis=1)
         s0 = w.sum(axis=1)
         s1 = (w * xc).sum(axis=1)
         s2 = (w * xc * xc).sum(axis=1)
@@ -490,7 +508,7 @@ def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
         with np.errstate(invalid="ignore", divide="ignore"):
             safe = np.maximum(s0, 1e-300)
             wvar = np.where(s0 > 0, s2 / safe - (s1 / safe) ** 2, 0.0)
-        bad = (npos < 3) | (wvar <= 1e-13 * window * window)
+        bad = (count < 3) | (wvar <= 1e-13 * window * window)
         if np.any(bad):
             if strict:
                 q_bad = q[np.argmax(bad)]

@@ -377,6 +377,16 @@ def test_env_thread_fallback(monkeypatch):
             _resolve_threads(args)
 
 
+def test_thread_range_errors_name_their_source(monkeypatch):
+    monkeypatch.setenv("EVTRISK_THREADS", "0")
+    with pytest.raises(InputError) as info:
+        _resolve_threads(build_parser().parse_args(["mc"]))
+    assert str(info.value) == (
+        "EVTRISK_THREADS must be at least 1, got '0'; pass --threads to override")
+    with pytest.raises(InputError, match="^--threads must be at least 1$"):
+        _resolve_threads(build_parser().parse_args(["backtest", "--threads", "0"]))
+
+
 @pytest.mark.parametrize("argv_tail, bad_text, env", [
     (["estimate", "--returns", "{tmp}/nope.csv"], None, None),
     (["mc", "--design", "{tmp}/nope.json"], None, None),

@@ -415,10 +415,12 @@ def test_windowed_fit_point_exactly_at_bandwidth():
         assert_matches_dense(grid + 0.05, grid, values, h)
 
 
-def test_support_is_where_the_weight_is_positive():
-    # Each query's index range [lo, hi) on the sorted design is exactly where
-    # -1 < (x - q)/h < 1 holds in floating point, also where a decimal grid
-    # puts (x - q)/h one ulp on either side of -1 or 1, or exactly on it.
+def test_support_is_the_rounded_window():
+    # Each query's index range [lo, hi) on the sorted design holds the points
+    # strictly between the rounded ends fl(q - h) and fl(q + h), also where a
+    # decimal grid puts an end one ulp on either side of a design point, or
+    # exactly on it.  lo counts the points not above fl(q - h), hi those not
+    # at or above fl(q + h): a NaN end sorts after every point.
     rng = np.random.default_rng(15)
     grid = np.arange(41) * 0.1
     ticks = np.sort(np.round(rng.standard_t(3, size=500), 1))
@@ -426,11 +428,40 @@ def test_support_is_where_the_weight_is_positive():
         queries = np.sort(np.concatenate([xs, xs + 0.05, [-1e3, 1e3, -np.inf, np.inf, np.nan]]))
         for h in (0.1, 0.2, 0.3, 0.5, 0.7):
             lo, hi = smoothing._support(xs, queries, h)
-            t = (xs[None, :] - queries[:, None]) / h
-            # Both tests are monotone in x, so each end counts the points
-            # that fail its test.
-            np.testing.assert_array_equal(lo, np.count_nonzero(~(t > -1.0), axis=1))
-            np.testing.assert_array_equal(hi, np.count_nonzero(~(t >= 1.0), axis=1))
+            np.testing.assert_array_equal(lo, np.count_nonzero(~(xs > (queries - h)[:, None]), axis=1))
+            np.testing.assert_array_equal(hi, np.count_nonzero(~(xs >= (queries + h)[:, None]), axis=1))
+
+
+def _float_rule_window(xs, qs, h):
+    """[lo, hi) where -1 < fl((x - q)/h) < 1, counted over the whole design."""
+    t = (xs - qs[:, None]) / h
+    return np.count_nonzero(t <= -1.0, axis=1), np.count_nonzero(t < 1.0, axis=1)
+
+
+def _cent_rounded_returns():
+    returns = _load_gen().simulate_returns(8, 4001, 4)
+    prices = np.round(100.0 * np.exp(np.concatenate(([0.0], np.cumsum(returns)))), 2)
+    return -np.diff(np.log(prices))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _load_gen().simulate_returns(7, 8001, 3),
+    lambda: _simulate(replace(named_design("table1"), seed=3), 0).y,
+    lambda: _simulate(replace(named_design("table4"), seed=4), 0).y,
+    _cent_rounded_returns,
+    lambda: np.round(_load_gen().simulate_returns(9, 2001, 4), 2),
+    lambda: np.round(_load_gen().simulate_returns(9, 2001, 4), 4),
+], ids=["gen-8000-t3", "mc-table1", "mc-table4", "cent-prices", "round-2", "round-4"])
+def test_rounded_window_is_the_float_rule_on_real_designs(make):
+    # The windows of a fit's sample points at its own h1 and h2 are those of
+    # the weight's own test -1 < (x - q)/h < 1: on these designs no point
+    # lies within rounding of an end, so the window rule moves no window.
+    fit = fit_location_scale(ReturnSeries(make(), kind="raw"))
+    xs = np.sort(fit.x)
+    for h in (fit.h1, fit.h2):
+        for start in range(0, xs.size, 1000):
+            qs = xs[start : start + 1000]
+            np.testing.assert_array_equal(smoothing._support(xs, qs, h), _float_rule_window(xs, qs, h))
 
 
 def test_windowed_fit_queries_outside_data():
