@@ -37,8 +37,15 @@ COMMANDS = (
      ["backtest", "--prices", "prices.csv", "--m", "500", "--n", "400", "--a", "0.99",
       "--B-boot", "99", "--seed", "4", "--threads", "1",
       "--dump-forecasts", "{out}/backtest_forecasts.csv"]),
+    # Two levels: one forecast file per level, named by the level, and a
+    # bootstrap seed per level.
+    ("backtest_two.json",
+     ["backtest", "--prices", "prices.csv", "--m", "500", "--n", "400", "--a", "0.95,0.99",
+      "--B-boot", "99", "--seed", "4", "--threads", "1",
+      "--dump-forecasts", "{out}/backtest_two_forecasts.csv"]),
 )
-OUTPUTS = tuple(name for name, _ in COMMANDS) + ("backtest_forecasts.csv",)
+OUTPUTS = tuple(name for name, _ in COMMANDS) + (
+    "backtest_forecasts.csv", "backtest_two_forecasts_a0.95.csv", "backtest_two_forecasts_a0.99.csv")
 
 
 def build(out_dir):

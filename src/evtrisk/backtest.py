@@ -53,6 +53,12 @@ class BacktestConfig:
         for a in self.a_levels:
             if not 0.0 < a < 1.0:
                 raise InputError(f"level {a} outside (0,1)")
+            if self.a_levels.count(a) > 1:
+                raise InputError(f"level {a} given more than once")
+        if self.N is not None and not 0 < self.N < self.n - 1:
+            raise InputError(f"tail count N={self.N} must satisfy 0 < N < n - 1={self.n - 1}")
+        if self.B_boot < 1:
+            raise InputError(f"bootstrap count B_boot must be at least 1, got {self.B_boot}")
         if self.n > 100:
             n_eff = self.n - 1
             a_min = 1.0 - self.tail_count(n_eff) / n_eff

@@ -22,7 +22,7 @@ from .ingest import ReturnSeries, load_prices, load_returns, to_returns
 from .mc import McDesign, named_design, run_experiment
 from .risk import estimate_at, mse_crossover
 from .smoothing import fit_location_scale
-from .tail import choose_N, extract_tail
+from .tail import check_schedule_constant, choose_N, extract_tail
 
 
 def _add_input_flags(parser):
@@ -162,6 +162,7 @@ def _cmd_estimate(args) -> int:
     if not 0.0 < args.a < 1.0:
         raise InputError("level must be in (0,1)")
     n_flag = _parse_or_auto(args.N, int, "--N")
+    check_schedule_constant(args.c)  # also when --N leaves it unused
     rho_flag = _parse_or_auto(args.rho, float, "--rho")
     if rho_flag is not None and not (math.isfinite(rho_flag) and rho_flag < 0):
         raise InputError(f"--rho must be finite and negative, got {args.rho!r}")

@@ -337,13 +337,14 @@ def d_hat(k: float, rho: float) -> float:
     return 2.0 * k**4 * rho / (1.0 + rho * k) ** 2
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TailFit:
     """GPD fit plus the second-order statistics and bias-corrected
-    parameters.
+    parameters, built by keyword.
 
     The second-order fields (k_mom, M_n, rho_hat, d_hat, k_corr) feed only
-    the bias corrections; without them they and params_bc are None.
+    the bias corrections; they and params_bc default to None, the fit
+    without bias correction.
 
     k_corr is the shape at which bias_correct_params evaluates its
     second-order factors, and d_hat is d at that shape.  The limit
@@ -359,14 +360,14 @@ class TailFit:
     """
 
     params: GpdParams
-    params_bc: GpdParams | None
-    k_mom: float | None
-    M_n: float | None
-    rho_hat: float | None
-    d_hat: float | None
+    params_bc: GpdParams | None = None
+    k_mom: float | None = None
+    M_n: float | None = None
+    rho_hat: float | None = None
+    d_hat: float | None = None
     sample: TailSample
     loglik: float
-    k_corr: float | None
+    k_corr: float | None = None
 
 
 def bias_correct_params(fit: TailFit) -> GpdParams:
@@ -403,23 +404,12 @@ def fit_tail(
     shape (see TailFit).
     """
     params, loglik = gpd_mle(sample)
-    fit = TailFit(
-        params=params,
-        params_bc=None,
-        k_mom=None,
-        M_n=None,
-        rho_hat=None,
-        d_hat=None,
-        sample=sample,
-        loglik=loglik,
-        k_corr=None,
-    )
     if not bias_correction:
-        return fit
+        return TailFit(params=params, sample=sample, loglik=loglik)
     k_mom, m_n = moment_stats(sample)
     if rho is None:
         rho = rho_hat(sample)
-    fit.k_mom, fit.M_n, fit.k_corr = k_mom, m_n, k_mom
-    fit.rho_hat, fit.d_hat = float(rho), d_hat(k_mom, rho)
+    fit = TailFit(params=params, sample=sample, loglik=loglik, k_mom=k_mom, M_n=m_n,
+                  rho_hat=float(rho), d_hat=d_hat(k_mom, rho), k_corr=k_mom)
     fit.params_bc = bias_correct_params(fit)
     return fit

@@ -132,21 +132,10 @@ def _bvec(k: float) -> np.ndarray:
     )
 
 
-def _v1(k: float) -> np.ndarray:
-    off = -1.0 / ((k - 1.0) * (2.0 * k - 1.0))
-    return np.array(
-        [
-            [1.0 / (1.0 - 2.0 * k), off, 0.0],
-            [off, 2.0 / ((k - 1.0) * (2.0 * k - 1.0)), 0.0],
-            [0.0, 0.0, k * k],
-        ]
-    )
-
-
 def sigma1(k: float, z: float) -> float:
     """Asymptotic variance of the uncorrected tail quantile (relative scale)."""
+    hi = H_inv(k)  # before _cb, which divides by k: k = 0 raises PoleError
     cb = _cb(k, z)
-    hi = H_inv(k)
     cbh = cb @ hi
     cbhb = float(cbh @ _bvec(k))
     return float(
@@ -168,13 +157,14 @@ def _v_row(k: float, rho: float, z: float) -> np.ndarray:
     )
 
 
-def _cq(k: float, rho: float, z: float, hi: np.ndarray, am: np.ndarray) -> np.ndarray:
-    """The corrected quantile's row, from hi = H_inv(k) and am = A_matrix(k, rho)."""
-    return k * (_cb(k, z) @ hi) @ am + _v_row(k, rho, z)
-
-
-def _shortfall_row(k: float, cq: np.ndarray, hi: np.ndarray, am: np.ndarray) -> np.ndarray:
-    return cq - (hi[1] @ am) / (1.0 + k)
+def _corrected_rows(k: float, rho: float, z: float):
+    """(cq, row, Vb(k)): the corrected quantile's row, the corrected
+    shortfall's row (sigma3_b adds _upsilon to it) and the Vb(k) that
+    weighs both.  H_inv, A_matrix and Vb_matrix are each evaluated once,
+    and a pole raises in that order."""
+    hi, am = H_inv(k), A_matrix(k, rho)
+    cq = k * (_cb(k, z) @ hi) @ am + _v_row(k, rho, z)
+    return cq, cq - (hi[1] @ am) / (1.0 + k), Vb_matrix(k)
 
 
 def _upsilon(k: float, rho: float, z: float) -> np.ndarray:
@@ -197,56 +187,46 @@ def _upsilon(k: float, rho: float, z: float) -> np.ndarray:
 
 def sigma1_b(k: float, rho: float, z: float) -> float:
     """Asymptotic variance of the bias-corrected tail quantile."""
-    cq = _cq(k, rho, z, H_inv(k), A_matrix(k, rho))
-    return float(cq @ Vb_matrix(k) @ cq)
+    cq, _, vb = _corrected_rows(k, rho, z)
+    return float(cq @ vb @ cq)
 
 
 def sigma2(k: float, z: float) -> float:
     """Asymptotic variance of the uncorrected innovation shortfall."""
-    cb = _cb(k, z)
-    hi = H_inv(k)
-    cbh = cb @ hi
+    hi = H_inv(k)  # before _cb, as in sigma1
+    cbh = _cb(k, z) @ hi
     row01 = hi[1]  # (0 1) H^{-1}
     b = _bvec(k)
     eta = np.array([cbh[0], cbh[1], float(cbh @ b) + 1.0 / (k * z)])
     theta = np.array([row01[0], row01[1], float(row01 @ b)])
     vec = k * eta - theta / (1.0 + k)
-    return float(vec @ _v1(k) @ vec)
+    return float(vec @ Vb_matrix(k)[:3, :3] @ vec)
 
 
 def sigma2_b(k: float, rho: float, z: float) -> float:
     """Asymptotic variance of the bias-corrected innovation shortfall."""
-    hi, am = H_inv(k), A_matrix(k, rho)
-    row = _shortfall_row(k, _cq(k, rho, z, hi, am), hi, am)
-    return float(row @ Vb_matrix(k) @ row)
+    _, row, vb = _corrected_rows(k, rho, z)
+    return float(row @ vb @ row)
 
 
 def sigma3_b(k: float, rho: float, z: float) -> float:
     """Asymptotic variance of the bias-corrected conditional shortfall."""
-    upsilon = _upsilon(k, rho, z)
-    hi, am = H_inv(k), A_matrix(k, rho)
-    row = _shortfall_row(k, _cq(k, rho, z, hi, am), hi, am) + upsilon
-    return float(row @ Vb_matrix(k) @ row)
+    _, row, vb = _corrected_rows(k, rho, z)
+    row = row + _upsilon(k, rho, z)
+    return float(row @ vb @ row)
 
 
-def _mu1_factor(k: float, rho: float, z: float) -> float:
+def _mu_factors(k: float, rho: float, z: float):
+    """The bias factors (mu1, mu2) of the conditional quantile and shortfall."""
     inv_k = 1.0 / k
     lead = (-inv_k - rho) * (z**rho - 1.0) / rho
-    proj = float(_cb(k, z) @ H_inv(k) @ np.array([-inv_k - rho, inv_k]))
-    return lead + proj / (1.0 - inv_k - rho)
-
-
-def _mu2_factor(k: float, rho: float, z: float) -> float:
-    inv_k = 1.0 / k
-    lead = (-inv_k - rho) * (z**rho - 1.0) / rho
-    adj = _cb(k, z) - np.array([0.0, 1.0 / (k * (1.0 + k))])
-    proj = float(
-        adj @ H_inv(k) @ np.array(
-            [(-inv_k - rho) / (1.0 - inv_k - rho), inv_k / (1.0 - inv_k - rho)]
-        )
-    )
-    tail_term = (inv_k + rho) / (1.0 + inv_k + rho) * z**rho
-    return lead + proj + tail_term
+    cb, hi = _cb(k, z), H_inv(k)
+    weights = np.array([-inv_k - rho, inv_k])
+    mu1 = lead + float(cb @ hi @ weights) / (1.0 - inv_k - rho)
+    adj = cb - np.array([0.0, 1.0 / (k * (1.0 + k))])
+    mu2 = (lead + float(adj @ hi @ (weights / (1.0 - inv_k - rho)))
+           + (inv_k + rho) / (1.0 + inv_k + rho) * z**rho)
+    return mu1, mu2
 
 
 def mse_crossover(k: float, rho: float, z: float):
@@ -256,24 +236,27 @@ def mse_crossover(k: float, rho: float, z: float):
     of the conditional quantile (resp. shortfall) estimator.  Entries are
     None when the corrected variance is below the uncorrected one, in which
     case correction always wins, and NaN, with a warning naming the
-    constant, when its denominator vanishes.
+    constant, when its denominator vanishes.  At such a pole a gap below
+    zero by at most 1e-9 of the larger variance is a rounding residue (at
+    rho = -1 gap and factor are both residues of zero), so it reads NaN.
     """
     s1, s1b = sigma1(k, z), sigma1_b(k, rho, z)
     s2, s3b = sigma2(k, z), sigma3_b(k, rho, z)
+    mu1, mu2 = _mu_factors(k, rho, z)
 
-    def constant(name, gap, factor):
-        if gap < 0:
-            return None
+    def constant(name, corrected, plain, factor):
+        gap = corrected - plain
         denom = -k * abs(factor)
-        if abs(denom) < 1e-12:
+        pole = abs(denom) < 1e-12
+        if gap < 0 and not (pole and -gap <= 1e-9 * max(corrected, plain)):
+            return None
+        if pole:
             warnings.warn(f"MSE crossover {name} undefined: crossover denominator vanishes",
                           EstimationWarning)
             return math.nan
         return math.sqrt(gap) / denom
 
-    c1 = constant("C1", s1b - s1, _mu1_factor(k, rho, z))
-    c2 = constant("C2", s3b - s2, _mu2_factor(k, rho, z))
-    return c1, c2
+    return constant("C1", s1b, s1, mu1), constant("C2", s3b, s2, mu2)
 
 
 def asymptotic_ci(estimate: float, variance: float, N: int):
@@ -369,12 +352,10 @@ def assemble(tail: TailFit, a: float, x: float, m_x: float, h_x: float) -> RiskE
 
     # Interval variances at the corrected shape: the coverage probabilities
     # of the reported simulations are only reproduced at this plug-in.
-    # These are sigma1_b, sigma2_b and sigma3_b, sharing one evaluation of
-    # each matrix and row; a pole raises in the order those three raise.
+    # These are sigma1_b, sigma2_b and sigma3_b from one _corrected_rows
+    # evaluation; a pole raises in the order those three raise.
     rho, N = tail.rho_hat, tail.sample.N
-    hi, am, vb = H_inv(k_b), A_matrix(k_b, rho), Vb_matrix(k_b)
-    cq = _cq(k_b, rho, z_hat, hi, am)
-    row = _shortfall_row(k_b, cq, hi, am)
+    cq, row, vb = _corrected_rows(k_b, rho, z_hat)
     row3 = row + _upsilon(k_b, rho, z_hat)
     out.sigma1_b = float(cq @ vb @ cq)
     out.sigma2_b = float(row @ vb @ row)

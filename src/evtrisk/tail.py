@@ -14,12 +14,17 @@ from .smoothing import LocationScaleFit, rot_bandwidth_density
 QUANTILE_TOL = 1e-10
 
 
+def check_schedule_constant(c: float) -> None:
+    """Reject a tail schedule constant that is not finite and positive."""
+    if not (math.isfinite(c) and c > 0):
+        raise InputError(f"tail schedule constant c must be finite and positive, got {c}")
+
+
 def choose_N(n: int, c: float = 0.7) -> int:
     """Tail count schedule round(c * n^0.79), clamped to [10, n/2]."""
     if n < 100:
         raise InputError(f"sample too small for the tail schedule: n={n}")
-    if not (math.isfinite(c) and c > 0):
-        raise InputError(f"tail schedule constant c must be finite and positive, got {c}")
+    check_schedule_constant(c)
     raw = int(math.floor(c * n**0.79 + 0.5))
     return min(max(raw, 10), n // 2)
 

@@ -302,6 +302,29 @@ def test_backtest_level_checked_before_input_read(tmp_path, capsys, input_flag):
     assert "level 1.5 outside (0,1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--B-boot", "-5"], "bootstrap count B_boot must be at least 1, got -5"),
+    (["--B-boot", "0"], "bootstrap count B_boot must be at least 1, got 0"),
+    (["--N", "0"], "tail count N=0 must satisfy 0 < N < n - 1=399"),
+    (["--N", "399"], "tail count N=399 must satisfy 0 < N < n - 1=399"),
+    (["--a", "0.95,0.95"], "level 0.95 given more than once"),
+])
+def test_backtest_config_rejected_before_input_read(tmp_path, capsys, flags, message):
+    # The input file does not exist: the configuration error comes first.
+    code = main(["backtest", "--prices", str(tmp_path / "missing.csv"),
+                 "--m", "500", "--n", "400", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_estimate_checks_c_before_input_read_even_with_explicit_N(tmp_path, capsys):
+    code = main(["estimate", "--returns", str(tmp_path / "missing.csv"),
+                 "--N", "150", "--c", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: tail schedule constant c must be finite and positive, got -1.0\n")
+
+
 def test_backtest_level_parse_error(tmp_path):
     data = tmp_path / "r.csv"
     data.write_text("return\n0.1\n0.2\n", encoding="utf-8")

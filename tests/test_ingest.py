@@ -315,7 +315,7 @@ def _csv_files(draw, prices, faults, min_rows=0, max_rows=25, fault_from=0):
         if header[-1] == "volume" and rnd.random() < 0.5:
             fields = fields[:-1]                                    # short, but complete
         for at, kind in placed:
-            if at != i:
+            if at != i or not fields:       # a row cut to no fields has none to quote
                 continue
             if kind == "short-row":
                 fields = fields[:needed]

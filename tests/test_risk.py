@@ -18,7 +18,7 @@ from oracles import (
     sigma2_oracle,
     sigma3_b_oracle,
 )
-from evtrisk.errors import InputError, TailError
+from evtrisk.errors import InputError, PoleError, TailError
 from evtrisk.gpd import GpdParams, TailFit, d_hat, fit_tail, gpd_quantile
 from evtrisk.ingest import ReturnSeries
 from evtrisk.risk import (
@@ -298,6 +298,36 @@ def test_crossover_zero_variance_gap(monkeypatch):
     monkeypatch.setattr(risk_mod, "sigma1", lambda k, z: risk_mod.sigma1_b(k, -2.0, z))
     c1, _ = mse_crossover(-1 / 6, -2.0, 1.778)
     assert c1 == 0.0
+
+
+@pytest.mark.parametrize("z", [1.5, 3.0, 10.0])
+@pytest.mark.parametrize("k", [-0.4, -0.25, -0.1, 0.2])
+def test_crossover_pole_at_rho_minus_one_is_nan_whatever_the_residue_sign(k, z):
+    # At rho = -1 the C1 gap and its factor are both rounding residues of 0,
+    # so the sign of the gap must not decide between None and NaN.
+    with pytest.warns(UserWarning, match="C1 undefined"):
+        c1, _ = mse_crossover(k, -1.0, z)
+    assert c1 is not None and math.isnan(c1)
+
+
+@pytest.mark.parametrize("func, args", [
+    (sigma1, (0.0, 2.0)),
+    (sigma2, (0.0, 2.0)),
+    (sigma1_b, (0.0, -2.0, 2.0)),
+    (sigma2_b, (0.0, -2.0, 2.0)),
+    (sigma3_b, (0.0, -2.0, 2.0)),
+    (mse_crossover, (0.0, -2.0, 2.0)),
+    (mse_crossover, (1e-200, -2.0, 2.0)),
+], ids=["sigma1", "sigma2", "sigma1_b", "sigma2_b", "sigma3_b", "mse_crossover",
+        "mse_crossover_tiny_k"])
+def test_vanishing_shape_raises_pole_error(func, args):
+    with pytest.raises(PoleError, match="factor k vanishes"):
+        func(*args)
+
+
+def test_sigma3_b_names_the_matrix_pole_first():
+    with pytest.raises(PoleError, match=r"A\(k, rho\) requires rho < 0"):
+        sigma3_b(-0.2, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------- assembly
