@@ -88,15 +88,15 @@ def _loglik_grad_hess(z, log_sigma: float, k: float):
         small = np.abs(c) < 1e-4
         if small.any():
             phi[small], g2[small], h22[small] = _small_c_series(c[small], w[small], a[small])
-    ll = float(-log_sigma * z.size - (1.0 - k) * np.sum(w * phi))
 
     g1 = -1.0 + (1.0 - k) * w / a
     h11 = -(1.0 - k) * w / (a * a)
     h12 = w * (w - 1.0) / (a * a)
 
-    grad = np.array([g1.sum(), g2.sum()])
-    hess = np.array([[h11.sum(), h12.sum()], [h12.sum(), h22.sum()]])
-    return ll, grad, hess
+    rows = np.stack((w * phi, g1, g2, h11, h12, h22))
+    ws, g1s, g2s, h11s, h12s, h22s = rows.sum(axis=1).tolist()
+    ll = float(-log_sigma * z.size - (1.0 - k) * ws)
+    return ll, np.array([g1s, g2s]), np.array([[h11s, h12s], [h12s, h22s]])
 
 
 def _ascent_direction(grad, hess):
@@ -110,6 +110,27 @@ def _ascent_direction(grad, hess):
         return np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"GPD Newton step failed: {exc}") from exc
+
+
+def _line_search(z, theta, direction, ll, gnorm):
+    """Backtracking along one direction from theta: the first of 50 halved
+    steps inside the search box that raises the likelihood, or keeps it
+    within 1e-10 relative while the gradient sup-norm falls below 0.9 gnorm
+    (near the optimum, where ascent is below float resolution).  Returns
+    (theta, ll, grad, hess) there, or None."""
+    t = 1.0
+    for _ in range(50):
+        cand = theta + t * direction
+        if abs(cand[1]) < K_DOMAIN and abs(cand[0]) < 50.0:
+            ll_new, g_new, h_new = _loglik_grad_hess(z, cand[0], cand[1])
+            if g_new is not None and (
+                ll_new > ll
+                or (ll_new >= ll - 1e-10 * abs(ll)
+                    and max(abs(g_new[0]), abs(g_new[1])) < 0.9 * gnorm)
+            ):
+                return cand, ll_new, g_new, h_new
+        t *= 0.5
+    return None
 
 
 def gpd_mle(tail: TailSample):
@@ -136,37 +157,22 @@ def gpd_mle(tail: TailSample):
     if grad is None:
         raise ConvergenceError("starting point outside the GPD support")
     for _ in range(MLE_MAX_ITER):
-        gnorm = np.max(np.abs(grad))
+        gnorm = max(abs(grad[0]), abs(grad[1]))
         if gnorm < MLE_GRAD_TOL:
             break
-        step = _ascent_direction(grad, hess)
-        scale_only = np.array([grad[0] / max(abs(hess[0, 0]), 1e-8), 0.0])
-        improved = False
-        for direction in (step, scale_only, grad / max(np.linalg.norm(grad), 1.0)):
-            t = 1.0
-            for _ in range(50):
-                cand = theta + t * direction
-                if abs(cand[1]) < K_DOMAIN and abs(cand[0]) < 50.0:
-                    ll_new, g_new, h_new = _loglik_grad_hess(z, cand[0], cand[1])
-                    # Accept on likelihood ascent, or near the optimum on a
-                    # gradient-norm contraction (ascent is below float
-                    # resolution there).
-                    if g_new is not None and (
-                        ll_new > ll
-                        or (ll_new >= ll - 1e-10 * abs(ll)
-                            and np.max(np.abs(g_new)) < 0.9 * gnorm)
-                    ):
-                        theta, ll, grad, hess = cand, ll_new, g_new, h_new
-                        improved = True
-                        break
-                t *= 0.5
-            if improved:
-                break
-        if not improved:
+        found = _line_search(z, theta, _ascent_direction(grad, hess), ll, gnorm)
+        if found is None:  # the fallbacks, scale only and then the gradient
+            scale_only = np.array([grad[0] / max(abs(hess[0, 0]), 1e-8), 0.0])
+            found = _line_search(z, theta, scale_only, ll, gnorm)
+        if found is None:
+            found = _line_search(z, theta, grad / max(np.linalg.norm(grad), 1.0), ll, gnorm)
+        if found is None:
             break
+        theta, ll, grad, hess = found
     else:
         raise ConvergenceError("GPD likelihood maximization did not converge")
-    if np.max(np.abs(grad)) >= MLE_GRAD_TOL:
+    gnorm = max(abs(grad[0]), abs(grad[1]))
+    if gnorm >= MLE_GRAD_TOL:
         # A maximum pinned at the shape boundary (data outside the heavy-tail
         # regime): the scale gradient vanishes while the shape gradient
         # points outward.  Flagged, not fatal.
@@ -176,9 +182,7 @@ def gpd_mle(tail: TailSample):
             and abs(grad[0]) < 1e-6
         )
         if not pinned:
-            raise ConvergenceError(
-                f"GPD gradient stalled at sup-norm {np.max(np.abs(grad)):.3e}"
-            )
+            raise ConvergenceError(f"GPD gradient stalled at sup-norm {gnorm:.3e}")
     if abs(theta[1]) > K_DOMAIN - 0.02:
         warnings.warn(
             f"GPD shape estimate {theta[1]:.4f} sits at the search boundary; "

@@ -6,10 +6,12 @@ A design simulates Y_t = sin(Y_{t-1}/2) + h_t^{1/2} eps_t with
 h_t = h_i(Y_{t-1}) + theta h_{t-1}, variant h1(y) = 1 + 0.01 y^2 + 0.5 sin(y)
 or h2(y) = 1 - 0.9 exp(-2 y^2) (floored at H2_FLOOR), and unit-variance
 Student-t(v) innovations drawn from a counter-based stream per replication.
-`_variance_at` is the one transcription of h1/h2 and `_t_risk_std` the one
-of the innovation's quantile and tail mean.  Each replication scores both
-estimator arms against the exact conditional CVaR/CES at the path's last
-observation, built from the path's own next-step variance.
+`_simulate` writes h1/h2 out in one loop per variant, and `_variance_at`
+once more for the variance one step past the path; `_t_risk_std` is the
+one transcription of the innovation's quantile and tail mean.  Each
+replication scores both estimator arms against the exact conditional
+CVaR/CES at the path's last observation, built from the path's own
+next-step variance.
 
 Only the simulator and the truths call scipy, so `scipy.special` is
 imported inside `_t_pdf`, `_t_risk_std` and `_simulate`, and importing this
@@ -131,20 +133,30 @@ class SimPath:
 
 
 def _simulate(design: McDesign, rep: int = 0) -> SimPath:
+    """One path of the design's recursion, written out per variance function
+    with local names; each step performs _variance_at's operations in its
+    order, so the path is the same floats."""
     from scipy import special
 
     u = _rng(design.seed, rep).random(BURN_IN + design.n)
     eps = special.stdtrit(design.v, u) / _t_std_factor(design.v)
     y, h = [], []
+    y_append, h_append = y.append, h.append
+    sin, sqrt, exp, theta = math.sin, math.sqrt, np.exp, design.theta
     y_prev, h_prev = 0.0, 0.0
-    for e in eps.tolist():
-        h_t = _variance_at(y_prev, design.variant) + design.theta * h_prev
-        if design.variant == "h2":
-            h_t = max(h_t, H2_FLOOR)
-        y_prev, h_prev = math.sin(0.5 * y_prev) + math.sqrt(h_t) * e, h_t
-        y.append(y_prev)
-        h.append(h_t)
-    h_next = _variance_at(y_prev, design.variant) + design.theta * h_prev
+    if design.variant == "h1":
+        for e in eps.tolist():
+            h_t = 1.0 + 0.01 * y_prev * y_prev + 0.5 * sin(y_prev) + theta * h_prev
+            y_prev, h_prev = sin(0.5 * y_prev) + sqrt(h_t) * e, h_t
+            y_append(y_prev)
+            h_append(h_t)
+    else:
+        for e in eps.tolist():
+            h_t = max(1.0 - 0.9 * float(exp(-2.0 * y_prev * y_prev)) + theta * h_prev, H2_FLOOR)
+            y_prev, h_prev = sin(0.5 * y_prev) + sqrt(h_t) * e, h_t
+            y_append(y_prev)
+            h_append(h_t)
+    h_next = _variance_at(y_prev, design.variant) + theta * h_prev
     if design.variant == "h2":
         h_next = max(h_next, H2_FLOOR)
     return SimPath(

@@ -239,7 +239,14 @@ def mse_crossover(k: float, rho: float, z: float):
     constant, when its denominator vanishes.  At such a pole a gap below
     zero by at most 1e-9 of the larger variance is a rounding residue (at
     rho = -1 gap and factor are both residues of zero), so it reads NaN.
+    A Z that is not finite and positive is an InputError and k = -1, where
+    the shortfall factor divides by 1 + k, a PoleError, both raised before
+    any division.
     """
+    if not (math.isfinite(z) and z > 0):
+        raise InputError(f"quantile growth constant Z must be finite and positive, got {z}")
+    if abs(1.0 + k) < 1e-12:
+        raise PoleError("factor 1 + k vanishes")
     s1, s1b = sigma1(k, z), sigma1_b(k, rho, z)
     s2, s3b = sigma2(k, z), sigma3_b(k, rho, z)
     mu1, mu2 = _mu_factors(k, rho, z)

@@ -1,5 +1,8 @@
 """Bridge between the stages: smoothed residual CDF, threshold quantile,
-exceedance extraction, and the tail-count schedule N(n)."""
+exceedance extraction, and the tail-count schedule N(n).
+
+The threshold quantile is a bisection on the smoothed CDF, replayed from a
+few exact CDF evaluations near the root (see smoothed_quantile)."""
 
 from __future__ import annotations
 
@@ -12,6 +15,12 @@ from .errors import InputError, TailError
 from .smoothing import LocationScaleFit, rot_bandwidth_density
 
 QUANTILE_TOL = 1e-10
+# How far a computed F may step back as u rises, with room to spare (see
+# smoothed_quantile), and the distance from the level beyond which a
+# point's F decides the bisection's branch at every midpoint past it.
+REPLAY_MARGIN = 1e-11
+REPLAY_GAP = QUANTILE_TOL + REPLAY_MARGIN
+LOCATE_STEPS = 10  # Newton evaluations before the replay
 
 
 def check_schedule_constant(c: float) -> None:
@@ -29,16 +38,21 @@ def choose_N(n: int, c: float = 0.7) -> int:
     return min(max(raw, 10), n // 2)
 
 
-def _cdf_sorted(u: float, rs: np.ndarray, h3: float) -> float:
+def _cdf_sorted(u: float, rs: np.ndarray, h3: float, density: bool = False):
     """Smoothed CDF at u over the sorted residuals rs: the points at or below
     u - h3 weigh 1, those at or above u + h3 weigh 0, and only the window
     between them evaluates the integrated Epanechnikov kernel
     K(t) = 1/2 + 3/4 (t - t^3/3).  A window t that rounds just past +-1
-    needs no clip: K'(+-1) = 0, so K moves by O(t_err^2) there."""
+    needs no clip: K'(+-1) = 0, so K moves by O(t_err^2) there.  With
+    density=True it returns (F, f), the kernel density f summed over the
+    same window; F is the same float either way."""
     i0 = int(rs.searchsorted(u - h3, "right"))
     i1 = int(rs.searchsorted(u + h3, "left"))
     t = (u - rs[i0:i1]) / h3
-    return (i0 + float(np.sum(0.5 + 0.75 * (t - t * t * t / 3.0)))) / rs.size
+    cdf = (i0 + float(np.sum(0.5 + 0.75 * (t - t * t * t / 3.0)))) / rs.size
+    if not density:
+        return cdf
+    return cdf, 0.75 * float(np.sum(1.0 - t * t)) / (rs.size * h3)
 
 
 def smoothed_cdf(u: float, residuals, h3: float) -> float:
@@ -46,6 +60,37 @@ def smoothed_cdf(u: float, residuals, h3: float) -> float:
     if h3 <= 0:
         raise InputError("CDF bandwidth must be positive")
     return _cdf_sorted(float(u), np.sort(np.asarray(residuals, dtype=float), axis=None), h3)
+
+
+def _locate(a: float, rs: np.ndarray, h3: float, lo: float, hi: float):
+    """(below, above): the nearest points that a few Newton steps on F, with
+    the kernel density as slope, find on each side of the level with their
+    exact F more than REPLAY_GAP below and above a, or -inf and inf where
+    none was found.  The steps aim at a - 2 REPLAY_GAP until that side is
+    within 3 REPLAY_GAP of a, then at a + 2 REPLAY_GAP; a step that leaves
+    the bracket of the points evaluated so far bisects it instead."""
+    below, above = -math.inf, math.inf
+    f_below, f_above = -math.inf, math.inf
+    points = []
+    u = float(rs[min(int(a * rs.size), rs.size - 1)])
+    for _ in range(LOCATE_STEPS):
+        val, dens = _cdf_sorted(u, rs, h3, density=True)
+        points.append((u, val))
+        if val < a - REPLAY_GAP and u > below:
+            below, f_below = u, val
+        elif val > a + REPLAY_GAP and u < above:
+            above, f_above = u, val
+        if f_below < a - 3.0 * REPLAY_GAP:
+            target = a - 2.0 * REPLAY_GAP
+        elif f_above > a + 3.0 * REPLAY_GAP:
+            target = a + 2.0 * REPLAY_GAP
+        else:
+            break
+        left = max((p for p, v in points if v < target), default=lo)
+        right = min((p for p, v in points if v > target), default=hi)
+        step = u + (target - val) / dens if dens > 0.0 else math.nan
+        u = step if left < step < right else 0.5 * (left + right)
+    return below, above
 
 
 def smoothed_quantile(a: float, residuals, h3: float) -> float:
@@ -59,6 +104,18 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
     the oracle's to a few ulps, so every step takes the oracle's branch
     unless F lands within rounding of a or of a +- 1e-10; on the seeded
     grid in tests/test_tail.py both accept the same float.
+
+    The bisection is replayed, not run: ``_locate`` first evaluates F
+    exactly at a few points near the root, and a midpoint at or beyond a
+    point whose F lies more than REPLAY_GAP = 1e-10 + REPLAY_MARGIN from a
+    takes that point's branch unevaluated.  Computed F steps back as u
+    rises by at most the rounding of its kernel sum plus 0.75 delta^2, for
+    delta the rounding of u +- h3 in units of h3, well below REPLAY_MARGIN
+    wherever ulp(|lo| + |hi|) <= 1e-6 h3; elsewhere every midpoint is
+    evaluated.  Only midpoints between the two nearest such points are
+    evaluated, so every step, the accepted float and every TailError are
+    those of the per-step bisection kept as ``smoothed_quantile_windowed``
+    in tests/oracles.py, with about 10 evaluations in place of about 34.
     """
     if not 0.0 < a < 1.0:
         raise InputError(f"quantile level must be in (0,1), got {a}")
@@ -69,15 +126,25 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
     hi = float(rs[-1]) + 10.0 * h3
     if _cdf_sorted(lo, rs, h3) > a or _cdf_sorted(hi, rs, h3) < a:
         raise TailError(f"no bracket for smoothed quantile at level {a}")
+    if math.ulp(abs(lo) + abs(hi)) <= 1e-6 * h3:
+        below, above = _locate(a, rs, h3, lo, hi)
+    else:
+        below = above = math.nan  # no midpoint compares: each is evaluated
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = _cdf_sorted(mid, rs, h3)
-        if abs(val - a) <= QUANTILE_TOL:
-            return mid
-        if val < a:
+        if mid <= below:
             lo = mid
-        else:
+        elif mid >= above:
             hi = mid
+        else:
+            val = _cdf_sorted(mid, rs, h3)
+            if abs(val - a) <= QUANTILE_TOL:
+                return mid
+            # Later midpoints lie in [lo, hi]; one at an end repeats it.
+            if val < a:
+                lo = below = mid
+            else:
+                hi = above = mid
     if abs(_cdf_sorted(mid, rs, h3) - a) > 1e-8:
         raise TailError(f"smoothed quantile did not converge at level {a}")
     return mid

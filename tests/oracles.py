@@ -3,9 +3,9 @@ suites, written against the closed forms or as the slow paths that faster
 code replaced.
 
 Most oracles use nothing of the package but its error types, its series
-containers and the constant and pole check of evtrisk.gpd.  Four build on package pieces that
-tests check on their own, so that each compares one replaced step and not
-its inputs:
+containers and the constants, parameter type and pole check of
+evtrisk.gpd.  Seven build on package pieces that tests check on their own,
+so that each compares one replaced step and not its inputs:
 - ``load_prices_oracle`` and ``load_returns_oracle`` read rows with
   ``ingest._read_rows`` and parse dates with ``ingest._parse_date``
   (checked against ``read_rows_oracle`` and ``parse_date_oracle``);
@@ -13,22 +13,46 @@ its inputs:
   ``risk.es_bias_term`` (checked against fixtures, ``q_bc_oracle`` and
   ``b_e_oracle``) with its own interval algebra;
 - ``rho_oracle`` takes its empirical thresholds from
-  ``tail.empirical_quantile``.
+  ``tail.empirical_quantile``;
+- ``smoothed_quantile_windowed`` evaluates F with ``tail._cdf_sorted``
+  (checked against ``smoothed_cdf_oracle``);
+- ``gpd_mle_newton_oracle`` starts from ``gpd.moment_stats`` and steps by
+  ``gpd._ascent_direction`` over ``loglik_grad_hess_oracle``;
+- ``simulate_oracle`` draws with ``mc._rng`` and ``mc._t_std_factor`` and
+  steps with ``mc._variance_at`` (checked against ``variance_fn``).
 """
 
 import csv
 import math
+import warnings
 from datetime import datetime
 from fractions import Fraction
 
 import numpy as np
 from scipy import stats
 
-from evtrisk.errors import DegenerateFitError, InputError, PoleError, TailError
-from evtrisk.gpd import K_EXP_LIMIT, _check_pole
+from evtrisk import mc
+from evtrisk.errors import (
+    ConvergenceError,
+    DegenerateFitError,
+    EstimationWarning,
+    InputError,
+    PoleError,
+    TailError,
+)
+from evtrisk.gpd import (
+    K_DOMAIN,
+    K_EXP_LIMIT,
+    MLE_GRAD_TOL,
+    MLE_MAX_ITER,
+    GpdParams,
+    _ascent_direction,
+    _check_pole,
+    moment_stats,
+)
 from evtrisk.ingest import PriceSeries, ReturnSeries, _parse_date, _read_rows
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
-from evtrisk.tail import empirical_quantile
+from evtrisk.tail import QUANTILE_TOL, _cdf_sorted, empirical_quantile
 
 
 def gpd_loglik_grid(z, sigma_grid, k_grid):
@@ -649,3 +673,118 @@ def load_returns_oracle(path, value_col="return"):
     if not values:
         raise InputError(f"{path}: no data rows")
     return ReturnSeries(np.array(values), kind="raw")
+
+
+def smoothed_quantile_windowed(a, residuals, h3):
+    """The per-step bisection that `tail.smoothed_quantile` replays: one
+    windowed `_cdf_sorted` evaluation at every midpoint."""
+    if not 0.0 < a < 1.0:
+        raise InputError(f"quantile level must be in (0,1), got {a}")
+    if h3 is None or h3 <= 0:
+        raise InputError("CDF bandwidth must be positive")
+    rs = np.sort(np.asarray(residuals, dtype=float), axis=None)
+    lo = float(rs[0]) - 10.0 * h3
+    hi = float(rs[-1]) + 10.0 * h3
+    if _cdf_sorted(lo, rs, h3) > a or _cdf_sorted(hi, rs, h3) < a:
+        raise TailError(f"no bracket for smoothed quantile at level {a}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = _cdf_sorted(mid, rs, h3)
+        if abs(val - a) <= QUANTILE_TOL:
+            return mid
+        if val < a:
+            lo = mid
+        else:
+            hi = mid
+    if abs(_cdf_sorted(mid, rs, h3) - a) > 1e-8:
+        raise TailError(f"smoothed quantile did not converge at level {a}")
+    return mid
+
+
+def gpd_mle_newton_oracle(tail):
+    """The Newton loop `gpd.gpd_mle` replaced, over
+    `loglik_grad_hess_oracle`: all three directions built at every step,
+    sup-norms by np.max(np.abs(.)).  Returns (params, loglik)."""
+    z = np.asarray(tail.exceedances, dtype=float)
+    if z.size < 5:
+        raise TailError(f"need at least 5 exceedances to fit the GPD, got {z.size}")
+
+    k0 = -0.1
+    sigma0 = float(z.mean())
+    if tail.q_tilde > 0:
+        k_mom, _ = moment_stats(tail)
+        if -K_DOMAIN < k_mom < 0.0:
+            k0 = max(k_mom, -0.85)
+            sigma0 = -k0 * tail.q_tilde
+    theta = np.array([math.log(sigma0), k0])
+
+    ll, grad, hess = loglik_grad_hess_oracle(z, theta[0], theta[1])
+    if grad is None:
+        raise ConvergenceError("starting point outside the GPD support")
+    for _ in range(MLE_MAX_ITER):
+        gnorm = np.max(np.abs(grad))
+        if gnorm < MLE_GRAD_TOL:
+            break
+        step = _ascent_direction(grad, hess)
+        scale_only = np.array([grad[0] / max(abs(hess[0, 0]), 1e-8), 0.0])
+        improved = False
+        for direction in (step, scale_only, grad / max(np.linalg.norm(grad), 1.0)):
+            t = 1.0
+            for _ in range(50):
+                cand = theta + t * direction
+                if abs(cand[1]) < K_DOMAIN and abs(cand[0]) < 50.0:
+                    ll_new, g_new, h_new = loglik_grad_hess_oracle(z, cand[0], cand[1])
+                    if g_new is not None and (
+                        ll_new > ll
+                        or (ll_new >= ll - 1e-10 * abs(ll)
+                            and np.max(np.abs(g_new)) < 0.9 * gnorm)
+                    ):
+                        theta, ll, grad, hess = cand, ll_new, g_new, h_new
+                        improved = True
+                        break
+                t *= 0.5
+            if improved:
+                break
+        if not improved:
+            break
+    else:
+        raise ConvergenceError("GPD likelihood maximization did not converge")
+    if np.max(np.abs(grad)) >= MLE_GRAD_TOL:
+        pinned = (
+            K_DOMAIN - abs(theta[1]) < 0.02
+            and grad[1] * np.sign(theta[1]) > 0
+            and abs(grad[0]) < 1e-6
+        )
+        if not pinned:
+            raise ConvergenceError(
+                f"GPD gradient stalled at sup-norm {np.max(np.abs(grad)):.3e}"
+            )
+    if abs(theta[1]) > K_DOMAIN - 0.02:
+        warnings.warn(
+            f"GPD shape estimate {theta[1]:.4f} sits at the search boundary; "
+            "the fitted tail is outside the supported regime",
+            EstimationWarning,
+        )
+    return GpdParams(math.exp(theta[0]), float(theta[1])), ll
+
+
+def simulate_oracle(design, rep=0):
+    """The loop `mc._simulate` replaced: one `_variance_at` call and one
+    floor test per step.  Returns (y, eps, h, h_next) of the kept window."""
+    from scipy import special
+
+    u = mc._rng(design.seed, rep).random(mc.BURN_IN + design.n)
+    eps = special.stdtrit(design.v, u) / mc._t_std_factor(design.v)
+    y, h = [], []
+    y_prev, h_prev = 0.0, 0.0
+    for e in eps.tolist():
+        h_t = mc._variance_at(y_prev, design.variant) + design.theta * h_prev
+        if design.variant == "h2":
+            h_t = max(h_t, mc.H2_FLOOR)
+        y_prev, h_prev = math.sin(0.5 * y_prev) + math.sqrt(h_t) * e, h_t
+        y.append(y_prev)
+        h.append(h_t)
+    h_next = mc._variance_at(y_prev, design.variant) + design.theta * h_prev
+    if design.variant == "h2":
+        h_next = max(h_next, mc.H2_FLOOR)
+    return (np.array(y[mc.BURN_IN:]), eps[mc.BURN_IN:], np.array(h[mc.BURN_IN:]), h_next)

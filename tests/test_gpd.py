@@ -14,11 +14,19 @@ from oracles import (
     gpd_cdf,
     gpd_logpdf,
     gpd_mle_grid_oracle,
+    gpd_mle_newton_oracle,
     h_inv_numeric,
     loglik_grad_hess_oracle,
     rho_oracle,
 )
-from evtrisk.errors import EstimationWarning, InputError, PoleError, TailError
+from evtrisk.errors import (
+    ConvergenceError,
+    EstimationWarning,
+    EvtriskError,
+    InputError,
+    PoleError,
+    TailError,
+)
 from evtrisk.gpd import (
     A_matrix,
     GpdParams,
@@ -174,6 +182,44 @@ def test_mle_boundary_shape_warns():
     with pytest.warns(EstimationWarning, match="boundary"):
         params, _ = gpd_mle(make_sample(z))
     assert params.k > 0.85
+
+
+def _mle_outcome(mle, tail):
+    """(params' bits and loglik, or the error) and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            params, ll = mle(tail)
+            result = (np.array([params.sigma, params.k, ll]).tobytes(), type(ll))
+        except EvtriskError as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def test_mle_takes_the_newton_oracles_steps_bitwise():
+    # The same iterates as the loop that built every fallback direction at
+    # every step: over heavy, bounded (shape at the boundary), tick-rounded
+    # and rescaled residuals, smoothed and empirical thresholds.
+    rng = np.random.default_rng(21)
+    samples = [make_sample(np.random.default_rng(3).random(500))]  # the boundary case above
+    while len(samples) < 150:
+        n = int(rng.choice([50, 200, 1000]))
+        res = [rng.standard_t(int(rng.choice([2, 3, 6])), n), rng.uniform(-1.0, 1.0, n),
+               np.round(rng.standard_t(3, n), 1),
+               rng.standard_normal(n) * float(rng.choice([1e-3, 100.0]))][len(samples) % 4]
+        N = int(rng.integers(6, n // 4))
+        try:
+            samples.append(extract_tail_empirical(res, N) if len(samples) % 2
+                           else extract_tail_smoothed(res, N, 0.3))
+        except EvtriskError:
+            continue
+    warned = failed = 0
+    for sample in samples:
+        got = _mle_outcome(gpd_mle, sample)
+        assert got == _mle_outcome(gpd_mle_newton_oracle, sample)
+        warned += any("boundary" in w for w in got[1])
+        failed += got[0][0] == ConvergenceError.__name__
+    assert warned > 10 and failed > 0, (warned, failed)
 
 
 def test_mle_loglik_beats_moment_start():

@@ -20,7 +20,7 @@ from evtrisk.mc import (
     summarize,
     true_risk,
 )
-from oracles import mean_recursion, variance_fn
+from oracles import mean_recursion, simulate_oracle, variance_fn
 
 DESIGN = McDesign(n=400, variant="h1", theta=0.0, v=6, reps=6, seed=5,
                   a_levels=(0.95,))
@@ -254,6 +254,20 @@ def test_simulate_reproducible_per_rep():
     np.testing.assert_array_equal(a.y, b.y)
     c = _simulate(design, 0)
     assert not np.array_equal(a.y, c.y)
+
+
+@pytest.mark.parametrize("name", ["table1", "table23"])
+@pytest.mark.parametrize("variant", ["h1", "h2"])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+def test_simulate_matches_step_by_step_oracle_bitwise(name, variant, theta):
+    design = replace(named_design(name), variant=variant, theta=theta)
+    for rep in (0, 7):
+        path = _simulate(design, rep)
+        y, eps, h, h_next = simulate_oracle(design, rep)
+        assert path.y.tobytes() == y.tobytes()
+        assert path.eps.tobytes() == eps.tobytes()
+        assert path.h.tobytes() == h.tobytes()
+        assert path.h_next == h_next
 
 
 def test_theta_half_misspecified_design_runs():

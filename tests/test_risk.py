@@ -330,6 +330,22 @@ def test_sigma3_b_names_the_matrix_pole_first():
         sigma3_b(-0.2, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((-1.0, -2.0, 2.0), PoleError, r"factor 1 \+ k vanishes"),
+    ((-0.2, -2.0, 0.0), InputError, "Z must be finite and positive, got 0.0"),
+    ((-0.2, -2.0, -1.0), InputError, "Z must be finite and positive, got -1.0"),
+    ((-0.2, -2.0, math.inf), InputError, "Z must be finite and positive, got inf"),
+    ((-0.2, -2.0, math.nan), InputError, "Z must be finite and positive, got nan"),
+], ids=["k_minus_one", "z_zero", "z_negative", "z_inf", "z_nan"])
+def test_crossover_domain_errors_are_evtrisk_errors(args, error, message):
+    # At k = -1 the shortfall factor divides by k (1 + k), at Z = 0 _cb
+    # divides by Z and at Z < 0 it takes log Z: each is decided first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any division warns
+        with pytest.raises(error, match=message):
+            mse_crossover(*args)
+
+
 # ---------------------------------------------------------------- assembly
 
 

@@ -581,3 +581,51 @@ def test_ll_sorted_query_order_and_scalar_queries():
             scalar = curve(q)
             assert isinstance(scalar, float)
             assert np.float64(scalar).tobytes() == curve(np.array([q]))[0].tobytes()
+
+
+def _fit_or_message(fit):
+    try:
+        level, slope = fit()
+    except DegenerateFitError as exc:
+        return str(exc)
+    return np.float64(level).tobytes(), np.float64(slope).tobytes()
+
+
+def test_one_point_fit_matches_array_path_bitwise():
+    # _ll_point gives _ll_sorted's floats for one query: at queries inside
+    # the data, on design points (tied ones included), on a window end and
+    # far outside; a degenerate query raises the same message when strict
+    # and, when not, gives the array path's floats at the widened bandwidth,
+    # or its message where no bandwidth helps (two points, or all tied).
+    rng = np.random.default_rng(20)
+    seen = {"fit": 0, "widened": 0, "raised": 0}
+    for trial in range(600):
+        n = int(rng.choice([2, 5, 40, 999]))
+        x = rng.standard_t(3, size=n)
+        if trial % 3 == 1:
+            x = np.round(x, 1)
+        if trial % 10 == 9:
+            x = np.full(n, 0.5)
+        y = np.sin(x) + 0.3 * rng.standard_normal(n)
+        order = np.argsort(x, kind="stable")
+        xs, ys = x[order], y[order]
+        h = float(rng.choice([0.02, 0.2, 1.0])) * float(rng.uniform(0.5, 2.0))
+        q = [float(rng.uniform(xs[0] - 1.0, xs[-1] + 1.0)),
+             float(xs[rng.integers(n)]),
+             float(xs[rng.integers(n)]) + h,
+             float(xs[-1]) + 50.0 * h][trial % 4]
+        array = _fit_or_message(lambda: smoothing._ll_sorted(q, xs, ys, h))
+        assert _fit_or_message(lambda: smoothing._ll_point(q, xs, ys, h)) == array
+        if isinstance(array, str):
+            try:
+                hq = smoothing._nn_bandwidth(q, xs, h)
+            except DegenerateFitError as exc:
+                widened = str(exc)
+            else:
+                widened = _fit_or_message(lambda: smoothing._ll_sorted(q, xs, ys, hq))
+            seen["widened" if isinstance(widened, tuple) else "raised"] += 1
+        else:
+            widened = array
+            seen["fit"] += 1
+        assert _fit_or_message(lambda: smoothing._ll_point(q, xs, ys, h, strict=False)) == widened
+    assert min(seen.values()) > 20, seen

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import smoothed_cdf_oracle, smoothed_quantile_oracle
+from oracles import smoothed_cdf_oracle, smoothed_quantile_oracle, smoothed_quantile_windowed
+from evtrisk import tail
 from evtrisk.errors import InputError, TailError
 from evtrisk.gpd import RHO_C
 from evtrisk.ingest import ReturnSeries
@@ -147,6 +148,89 @@ def test_smoothed_quantile_equals_on_bisection_oracle(n):
                         assert smoothed_quantile(a, res, bw) == smoothed_quantile_oracle(a, res, bw)
                         cases += 1
     assert cases == 84 * _GRID_SAMPLES[n]
+
+
+def _quantile_or_error(fn, a, res, h3):
+    try:
+        return fn(a, res, h3)
+    except TailError as exc:
+        return f"TailError: {exc}"
+
+
+# Samples per (tail index, residual kind) at each n: 24 cases per sample,
+# 10368 cases in all.
+_REPLAY_SAMPLES = {300: 24, 1000: 14, 4000: 6, 8000: 4}
+
+
+@pytest.mark.parametrize("n", sorted(_REPLAY_SAMPLES))
+def test_smoothed_quantile_replays_windowed_bisection(n):
+    """The replayed bisection accepts the float the per-step windowed
+    bisection accepts: t(3/4/6) residuals, plain, with a block of exact
+    zeros, or rounded to a 0.01 tick, at 0.01, 1 and 3 times the pipeline's
+    bandwidth, at the tail level 1 - N/n, rho_hat's two enlarged-count
+    levels and five fixed levels from 0.5 to 0.999."""
+    rng = np.random.default_rng(2000 + n)
+    N = choose_N(n)
+    counts = [max(int(math.floor(cc * N * math.log(n) + 0.5)), 10) for cc in (RHO_C, RHO_C / 2)]
+    levels = [1.0 - N / n] + [1.0 - c / n for c in counts] + [0.5, 0.9, 0.95, 0.99, 0.999]
+    cases = 0
+    for v in (3, 4, 6):
+        for kind in ("plain", "zeros", "tick"):
+            for _ in range(_REPLAY_SAMPLES[n]):
+                res = rng.standard_t(v, size=n)
+                if kind == "zeros":
+                    start = rng.integers(0, n - n // 10)
+                    res[start:start + n // 10] = 0.0
+                elif kind == "tick":
+                    res = np.round(res, 2)
+                h3 = rot_bandwidth_density(rng.standard_t(v, size=n))
+                for bw in (0.01 * h3, h3, 3.0 * h3):
+                    for a in levels:
+                        expect = _quantile_or_error(smoothed_quantile_windowed, a, res, bw)
+                        assert _quantile_or_error(smoothed_quantile, a, res, bw) == expect
+                        cases += 1
+    assert cases == 216 * _REPLAY_SAMPLES[n]
+
+
+@pytest.mark.parametrize("res, h3, a, message", [
+    # Every residual rounds to its own window's end: F jumps from 0 to 1.
+    (np.full(100, 1e20), 1.0, 0.5, "no bracket"),
+    # A block of ties at 4 under a bandwidth near the float spacing there:
+    # F rises by more than 1e-8 from one float to the next.  The first
+    # bandwidth lets the replay skip midpoints (ulp(|lo| + |hi|) <= 1e-6 h3),
+    # the second makes it evaluate every one.
+    (np.concatenate((np.linspace(-4.0, 3.0, 150), np.full(150, 4.0))), 2e-9, 0.7,
+     "did not converge"),
+    (np.concatenate((np.linspace(-4.0, 3.0, 150), np.full(150, 4.0))), 2e-10, 0.7,
+     "did not converge"),
+])
+def test_smoothed_quantile_replay_raises_as_windowed_bisection(res, h3, a, message):
+    expect = _quantile_or_error(smoothed_quantile_windowed, a, res, h3)
+    assert expect.startswith("TailError") and message in expect
+    assert _quantile_or_error(smoothed_quantile, a, res, h3) == expect
+
+
+@pytest.mark.parametrize("n", [1000, 8000])
+def test_tail_level_quantile_makes_few_cdf_evaluations(monkeypatch, n):
+    """A quantile at the tail level 1 - N/n evaluates F at most 16 times,
+    the bracket check included; the per-step bisection takes about 34."""
+    calls = []
+    cdf = tail._cdf_sorted
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return cdf(*args, **kwargs)
+
+    monkeypatch.setattr(tail, "_cdf_sorted", counted)
+    rng = np.random.default_rng(20 + n)
+    a = 1.0 - choose_N(n) / n
+    most = 0
+    for _ in range(20):
+        res = rng.standard_t(3, size=n)
+        calls.clear()
+        smoothed_quantile(a, res, rot_bandwidth_density(res))
+        most = max(most, len(calls))
+    assert most <= 16
 
 
 @given(
