@@ -1,8 +1,8 @@
 """Bridge between the stages: smoothed residual CDF, threshold quantile,
 exceedance extraction, and the tail-count schedule N(n).
 
-The threshold quantile is a bisection on the smoothed CDF, replayed from a
-few exact CDF evaluations near the root (see smoothed_quantile)."""
+The threshold quantile is a safeguarded Newton iteration on the smoothed
+CDF with the kernel density as slope (see smoothed_quantile)."""
 
 from __future__ import annotations
 
@@ -15,12 +15,6 @@ from .errors import InputError, TailError
 from .smoothing import LocationScaleFit, rot_bandwidth_density
 
 QUANTILE_TOL = 1e-10
-# How far a computed F may step back as u rises, with room to spare (see
-# smoothed_quantile), and the distance from the level beyond which a
-# point's F decides the bisection's branch at every midpoint past it.
-REPLAY_MARGIN = 1e-11
-REPLAY_GAP = QUANTILE_TOL + REPLAY_MARGIN
-LOCATE_STEPS = 10  # Newton evaluations before the replay
 
 
 def check_schedule_constant(c: float) -> None:
@@ -62,60 +56,23 @@ def smoothed_cdf(u: float, residuals, h3: float) -> float:
     return _cdf_sorted(float(u), np.sort(np.asarray(residuals, dtype=float), axis=None), h3)
 
 
-def _locate(a: float, rs: np.ndarray, h3: float, lo: float, hi: float):
-    """(below, above): the nearest points that a few Newton steps on F, with
-    the kernel density as slope, find on each side of the level with their
-    exact F more than REPLAY_GAP below and above a, or -inf and inf where
-    none was found.  The steps aim at a - 2 REPLAY_GAP until that side is
-    within 3 REPLAY_GAP of a, then at a + 2 REPLAY_GAP; a step that leaves
-    the bracket of the points evaluated so far bisects it instead."""
-    below, above = -math.inf, math.inf
-    f_below, f_above = -math.inf, math.inf
-    points = []
-    u = float(rs[min(int(a * rs.size), rs.size - 1)])
-    for _ in range(LOCATE_STEPS):
-        val, dens = _cdf_sorted(u, rs, h3, density=True)
-        points.append((u, val))
-        if val < a - REPLAY_GAP and u > below:
-            below, f_below = u, val
-        elif val > a + REPLAY_GAP and u < above:
-            above, f_above = u, val
-        if f_below < a - 3.0 * REPLAY_GAP:
-            target = a - 2.0 * REPLAY_GAP
-        elif f_above > a + 3.0 * REPLAY_GAP:
-            target = a + 2.0 * REPLAY_GAP
-        else:
-            break
-        left = max((p for p, v in points if v < target), default=lo)
-        right = min((p for p, v in points if v > target), default=hi)
-        step = u + (target - val) / dens if dens > 0.0 else math.nan
-        u = step if left < step < right else 0.5 * (left + right)
-    return below, above
-
-
 def smoothed_quantile(a: float, residuals, h3: float) -> float:
-    """Invert the smoothed CDF by bisection to |F(q) - a| <= 1e-10.
+    """Invert the smoothed CDF to |F(q) - a| <= 1e-10 by a safeguarded Newton.
 
     The residuals are sorted once; each CDF evaluation then binary-searches
     the kernel window [u - h3, u + h3] and sums the kernel over it, O(log n
-    + w) for w residuals in the window in place of O(n).  The bracket, the
-    step cap and the acceptance tests are those of the O(n) bisection kept
-    as ``smoothed_quantile_oracle`` in tests/oracles.py.  Its F agrees with
-    the oracle's to a few ulps, so every step takes the oracle's branch
-    unless F lands within rounding of a or of a +- 1e-10; on the seeded
-    grid in tests/test_tail.py both accept the same float.
-
-    The bisection is replayed, not run: ``_locate`` first evaluates F
-    exactly at a few points near the root, and a midpoint at or beyond a
-    point whose F lies more than REPLAY_GAP = 1e-10 + REPLAY_MARGIN from a
-    takes that point's branch unevaluated.  Computed F steps back as u
-    rises by at most the rounding of its kernel sum plus 0.75 delta^2, for
-    delta the rounding of u +- h3 in units of h3, well below REPLAY_MARGIN
-    wherever ulp(|lo| + |hi|) <= 1e-6 h3; elsewhere every midpoint is
-    evaluated.  Only midpoints between the two nearest such points are
-    evaluated, so every step, the accepted float and every TailError are
-    those of the per-step bisection kept as ``smoothed_quantile_windowed``
-    in tests/oracles.py, with about 10 evaluations in place of about 34.
+    + w) for w residuals in the window in place of O(n).  The iteration
+    starts from the empirical a-quantile and steps by Newton with the kernel
+    density as slope; a step that leaves the bracket of the points evaluated
+    so far, or meets a zero density, bisects the bracket instead.  It
+    returns the first point whose F lies within 1e-10 of a: at the tail
+    level 1 - N/n after about 5.5 evaluations, the bracket check included,
+    in place of a bisection's 34.  The bracket [min - 10 h3, max + 10 h3],
+    the step cap and both TailErrors are those of the O(n) bisection kept
+    as ``smoothed_quantile_oracle`` in tests/oracles.py.  Where F rises
+    through a, the two land within 2e-10 / f of each other, f the kernel
+    density; where F equals a on a whole flat stretch, each may return any
+    point of it (_build_sample rejects such a threshold).
     """
     if not 0.0 < a < 1.0:
         raise InputError(f"quantile level must be in (0,1), got {a}")
@@ -126,28 +83,20 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
     hi = float(rs[-1]) + 10.0 * h3
     if _cdf_sorted(lo, rs, h3) > a or _cdf_sorted(hi, rs, h3) < a:
         raise TailError(f"no bracket for smoothed quantile at level {a}")
-    if math.ulp(abs(lo) + abs(hi)) <= 1e-6 * h3:
-        below, above = _locate(a, rs, h3, lo, hi)
-    else:
-        below = above = math.nan  # no midpoint compares: each is evaluated
+    u = float(rs[min(int(a * rs.size), rs.size - 1)])
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
+        val, dens = _cdf_sorted(u, rs, h3, density=True)
+        if abs(val - a) <= QUANTILE_TOL:
+            return u
+        if val < a:
+            lo = u
         else:
-            val = _cdf_sorted(mid, rs, h3)
-            if abs(val - a) <= QUANTILE_TOL:
-                return mid
-            # Later midpoints lie in [lo, hi]; one at an end repeats it.
-            if val < a:
-                lo = below = mid
-            else:
-                hi = above = mid
-    if abs(_cdf_sorted(mid, rs, h3) - a) > 1e-8:
+            hi = u
+        step = u + (a - val) / dens if dens > 0.0 else math.nan
+        u = step if lo < step < hi else 0.5 * (lo + hi)
+    if abs(_cdf_sorted(u, rs, h3) - a) > 1e-8:
         raise TailError(f"smoothed quantile did not converge at level {a}")
-    return mid
+    return u
 
 
 @dataclass
@@ -183,7 +132,10 @@ def empirical_quantile(values_sorted, a: float) -> float:
 def _build_sample(residuals, N, h3, kind) -> TailSample:
     """The only place the threshold rule is decided: exceedances over the
     a_N = 1 - N/n quantile, the order statistic for kind "empirical", else
-    the smoothed quantile at bandwidth h3."""
+    the smoothed quantile at bandwidth h3.  Where the (n-N)-th and next
+    smallest residuals lie more than 2 h3 apart, F equals a_N on the whole
+    stretch between their kernel windows, so every point of it meets the
+    quantile's tolerance: such a threshold is not unique and is rejected."""
     n = residuals.size
     if not 0 < N < n:
         raise InputError(f"tail count N={N} must satisfy 0 < N < n={n}")
@@ -193,6 +145,9 @@ def _build_sample(residuals, N, h3, kind) -> TailSample:
         q_tilde = empirical_quantile(residuals_sorted, a_N)
     else:
         q_tilde = smoothed_quantile(a_N, residuals_sorted, h3)
+        if residuals_sorted[n - N] - residuals_sorted[n - N - 1] > 2.0 * h3:
+            raise TailError(f"smoothed threshold at tail count {N} is not unique: "
+                            f"F equals a_N across a residual gap wider than 2 h3")
     above = residuals_sorted[residuals_sorted > q_tilde]
     if above.size == 0:
         raise TailError(f"no exceedances above the threshold at tail count {N}")
@@ -221,9 +176,8 @@ def extract_tail_empirical(residuals, N: int) -> TailSample:
 
 def extract_tail(fit: LocationScaleFit, N: int) -> TailSample:
     """Tail of the standardized first-stage residuals above the smoothed
-    a_N-quantile, at the interquartile-range bandwidth of the conditioning
-    values."""
-    return extract_tail_smoothed(fit.residuals, N, rot_bandwidth_density(fit.x))
+    a_N-quantile, at the interquartile-range bandwidth of those residuals."""
+    return extract_tail_smoothed(fit.residuals, N, rot_bandwidth_density(fit.residuals))
 
 
 def rethreshold(sample: TailSample, N: int) -> TailSample:

@@ -419,8 +419,8 @@ def smoothed_cdf_oracle(u, residuals, h3):
 
 
 def smoothed_quantile_oracle(a, residuals, h3):
-    """The bisection of `tail.smoothed_quantile` over `smoothed_cdf_oracle`,
-    one O(n) pass per step, to |F(q) - a| <= 1e-10."""
+    """The bisection that `tail.smoothed_quantile` replaced, over
+    `smoothed_cdf_oracle`, one O(n) pass per step, to |F(q) - a| <= 1e-10."""
     if not 0.0 < a < 1.0:
         raise InputError(f"quantile level must be in (0,1), got {a}")
     if h3 is None or h3 <= 0:
@@ -676,7 +676,7 @@ def load_returns_oracle(path, value_col="return"):
 
 
 def smoothed_quantile_windowed(a, residuals, h3):
-    """The per-step bisection that `tail.smoothed_quantile` replays: one
+    """The bisection that `tail.smoothed_quantile` replaced, with one
     windowed `_cdf_sorted` evaluation at every midpoint."""
     if not 0.0 < a < 1.0:
         raise InputError(f"quantile level must be in (0,1), got {a}")

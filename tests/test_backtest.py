@@ -242,6 +242,8 @@ def test_rolling_constant_series_fails():
 def test_backtest_tests_skip_steps_without_forecast():
     # Windows over the leading zeros fail before any window has succeeded,
     # so their forecasts stay NaN and must not count as non-violations.
+    # How many fail depends on the CDF bandwidth h3, the interquartile range
+    # of the residuals: 173 of the 250 windows fail with it.
     rng = np.random.default_rng(0)
     values = np.concatenate([np.zeros(300), 5.0 * rng.standard_t(3, size=200)])
     cfg = BacktestConfig(m=500, n=250, a_levels=(0.95,))
@@ -250,10 +252,10 @@ def test_backtest_tests_skip_steps_without_forecast():
         report = run_backtest(ReturnSeries(values, kind="raw"), cfg, threads=2)
     cvar = report.forecasts.cvar[0.95]
     forecast = np.isfinite(cvar)
-    assert int((~forecast).sum()) == 170
+    assert int((~forecast).sum()) == 173
     level = report.levels[0.95]
-    assert level.n_evaluated == 80
-    assert level.expected == pytest.approx(80 * 0.05)
+    assert level.n_evaluated == 77
+    assert level.expected == pytest.approx(77 * 0.05)
     steps = report.forecasts.steps[forecast]
     viol = values[steps + 1] > cvar[forecast]
     assert level.violations == int(viol.sum())

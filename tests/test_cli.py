@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from evtrisk import cli
-from evtrisk.backtest import BacktestConfig
+from evtrisk.backtest import BacktestConfig, rolling_forecast
 from evtrisk.cli import _load_design, _resolve_threads, build_parser, main
 from evtrisk.errors import InputError
-from evtrisk.mc import McDesign
+from evtrisk.ingest import ReturnSeries, load_returns
+from evtrisk.mc import McDesign, _replicate, _simulate
 from evtrisk.risk import mse_crossover
+
+GOLDEN_RETURNS = pathlib.Path(__file__).resolve().parent / "golden" / "returns.csv"
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +151,8 @@ def _perfbench_gen():
 
 def test_estimate_crossover_pole_reports_nan(tmp_path):
     # At rho = -1 the C1 factor is a rounding residue (0/0), while C2 is
-    # well defined: only C1 is reported undefined.
+    # well defined: only C1 is reported undefined.  C2 follows the fitted
+    # shape, and with it the CDF bandwidth h3 of the residuals.
     values = _perfbench_gen().simulate_returns(7, 2000, 3) / 0.01
     data = tmp_path / "returns.csv"
     data.write_text("return\n" + "\n".join(repr(float(v)) for v in values), encoding="utf-8")
@@ -158,7 +162,7 @@ def test_estimate_crossover_pole_reports_nan(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["mse_crossover"]["C1"] == "nan"
-    assert report["mse_crossover"]["C2"] == pytest.approx(11.94, abs=0.01)
+    assert report["mse_crossover"]["C2"] == pytest.approx(12.72, abs=0.01)
     assert "MSE crossover C1 undefined: crossover denominator vanishes" in report["warnings"]
     assert not any(w.startswith("MSE crossover C2") for w in report["warnings"])
 
@@ -388,6 +392,65 @@ def test_estimate_explicit_query_point(returns_csv, tmp_path):
     ])
     assert code == 0
     assert json.loads(out.read_text())["x"] == 0.25
+
+
+def _estimate_report(tmp_path, values, *flags):
+    """The report of `estimate` on the returns `values`, written exactly."""
+    data = tmp_path / "window.csv"
+    data.write_text("return\n" + "\n".join(repr(float(v)) for v in values), encoding="utf-8")
+    out = tmp_path / "window.json"
+    assert main(["estimate", "--returns", str(data), *flags, "--out", str(out),
+                 "--no-timestamp"]) == 0
+    return json.loads(out.read_text())
+
+
+def test_estimate_is_scale_equivariant(tmp_path):
+    # Scaling the returns by s leaves the standardized residuals, hence h3,
+    # the threshold and the fitted shape, as they are, and scales CVaR and
+    # CES by s.  s * v rounds each return once: measured, the three scales
+    # agree to 4.1e-15 relative.
+    values = load_returns(GOLDEN_RETURNS).values
+    base = None
+    for s in (1.0, 100.0, 1e4):
+        report = _estimate_report(tmp_path, s * values, "--a", "0.99")
+        got = [report["tail"][key] for key in ("h3", "q_tilde", "k")]
+        got += [report["estimates"][key] / s for key in ("cvar", "ces")]
+        base = base or got
+        assert got == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def test_backtest_forecast_equals_estimate_on_its_window(tmp_path):
+    # The backtest's copy of the pipeline: the forecast at step t is
+    # `estimate` on the window that ends at t, at the window's tail count,
+    # uncorrected, at the query point values[t].  Bit for bit.
+    values = load_returns(GOLDEN_RETURNS).values[:403]
+    cfg = BacktestConfig(m=403, n=400, a_levels=(0.99,))
+    forecasts = rolling_forecast(ReturnSeries(values, kind="raw"), cfg)
+    N = cfg.tail_count(cfg.n - 1)
+    assert forecasts.steps.size == 3 and forecasts.n_failures == 0
+    for i, t in enumerate(forecasts.steps):
+        report = _estimate_report(
+            tmp_path, values[t - cfg.n + 1:t + 1], "--a", "0.99", "--N", str(N),
+            "--no-bias-correction", "--x", repr(float(values[t])),
+        )
+        assert report["estimates"]["cvar"] == forecasts.cvar[0.99][i]
+        assert report["estimates"]["ces"] == forecasts.ces[0.99][i]
+
+
+def test_mc_pipeline_arm_equals_estimate_on_its_path(tmp_path):
+    # The Monte Carlo copy of the pipeline: its estimates on a simulated
+    # path are those of `estimate` on that path at the design's schedule
+    # constant, corrected and uncorrected.  Bit for bit.
+    design = McDesign(n=1000, reps=3, seed=5, a_levels=(0.99,))
+    for rep in range(design.reps):
+        records = _replicate(design, rep)
+        report = _estimate_report(tmp_path, _simulate(design, rep).y, "--a", "0.99",
+                                  "--c", str(design.c))
+        assert report["tail"]["k"] == records[("k0", "pipeline", None)][0]
+        assert report["tail"]["k_bc"] == records[("k0", "pipeline_bc", None)][0]
+        for target in ("cvar", "ces"):
+            assert report["estimates"][target] == records[(target, "pipeline", 0.99)][0]
+            assert report["estimates"][target + "_bc"] == records[(target, "pipeline_bc", 0.99)][0]
 
 
 def test_env_thread_fallback(monkeypatch):
