@@ -21,14 +21,14 @@ sums on the data of its middle window; one global origin would lose about
 (span/h)^4 to cancellation.  A fit at m queries costs O((n + m) log n) for
 the sorts and searches plus O(n span/h) for the blocks' partial sums.  Only
 the window sums are taken block by block; the weights, the degeneracy test
-and the line solve run once over all queries.  One finite query, such as
-m_hat(x) or a widened refit, skips the blocks: _ll_point performs the same
-operations on its one window, sums each side of the query by one
-single-segment reduceat and does the rest in Python floats, so it gives
-the same floats in O(log n + w) for the w points of its window, at about a
-fifth of the array path's fixed cost.  A degenerate query is refit with
-its bandwidth widened to reach its nearest neighbours, whose radius is
-found on the sorted design in O(log n + k) for the k points within it.  The
+and the line solve run once over all queries.  One query, such as m_hat(x)
+or a widened refit, skips the blocks: _ll_point fits the weighted line
+directly over its window, with the moments about the window's mean, in
+O(log n + w) for the w points of the window (README, "Performance", gives
+its measured cost).  It agrees with the block path to rounding, not bit
+for bit.  A degenerate query is refit with its bandwidth widened to reach
+its nearest neighbours, whose radius is found on the sorted design in
+O(log n + k) for the k points within it.  The
 dense fit, which evaluates the kernel at every point for every query, and
 the full sort of the distances for the widening are kept as the test
 oracles ``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
@@ -36,7 +36,6 @@ oracles ``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -210,75 +209,37 @@ def _ll_sorted(queries, xs, ys, h, strict=True, order=None):
                 f"degenerate local-linear fit at query x={queries[widened[0]]:.6g} (bandwidth h={h:.6g})"
             )
         for j in widened:
-            hq = _nn_bandwidth(queries[j], xs, h)
-            if math.isfinite(queries[j]):
-                levels[j], slopes[j] = _ll_point(float(queries[j]), xs, ys, hq)
-            else:
-                lv, sl = _ll_sorted(queries[j], xs, ys, hq)
-                levels[j], slopes[j] = lv[0], sl[0]
+            q = float(queries[j])
+            levels[j], slopes[j] = _ll_point(q, xs, ys, _nn_bandwidth(q, xs, h))
     return levels, slopes
 
 
 def _ll_point(q, xs, ys, h, strict=True):
-    """(level, slope) of the local-linear fit at one finite query q: the
-    operations _ll_sorted performs for the array [q], on the same arrays
-    where it sums and in Python floats past the window sums, so both give
-    the same floats.  Its single block is q's own window, centred on the
-    mean of that window, and each side of q is summed by one single-segment
-    reduceat, as _partial_sums sums it.  A degenerate query raises with
-    strict=True and is refit at the widened bandwidth otherwise."""
-    lo = int(xs.searchsorted(q - h, "right"))
-    hi = int(xs.searchsorted(q + h, "left"))
-    sums = [0.0] * 9
-    c = q
-    if hi > lo:
-        c = float(xs[lo:hi].mean())
-        terms = np.empty((8, hi - lo))
-        y, d, d2 = terms[0], terms[1], terms[3]
-        y[:] = ys[lo:hi]
-        np.subtract(xs[lo:hi], c, out=d)
-        np.multiply(d, d, out=d2)
-        np.multiply(terms[1:4:2], d2, out=terms[5::2])
-        np.multiply(terms[1:7:2], y, out=terms[2:7:2])
-        a = int(xs.searchsorted(0.5 * (q + q))) - lo
-        right = left = (0.0,) * 8
-        if hi - lo - a > 0:
-            right = np.add.reduceat(terms[:, a:][:, :hi - lo - a], [0], axis=1)[:, 0].tolist()
-        if a > 0:
-            left = np.add.reduceat(terms[:, :a][:, ::-1][:, :a], [0], axis=1)[:, 0].tolist()
-        sums[1:] = [r + s for r, s in zip(right, left)]
-    sums[0] = float(hi - lo)
-    n_w, t0_, s1_, t1_, s2_, t2_, s3_, t3_, s4_ = sums
-
-    inv_h2 = 1.0 / (h * h)
-    delta = q - c
-    w0 = 0.75 * (1.0 - delta * delta * inv_h2)
-    w1 = 1.5 * delta * inv_h2
-    w2 = 0.75 * inv_h2
-    s0 = w0 * n_w + w1 * s1_ - w2 * s2_
-    t0 = w0 * t0_ + w1 * t1_ - w2 * t2_
-    s1 = w0 * s1_ + w1 * s2_ - w2 * s3_
-    t1 = w0 * t1_ + w1 * t2_ - w2 * t3_
-    s2 = w0 * s2_ + w1 * s3_ - w2 * s4_
-    if s0 > 0:
-        safe = max(s0, 1e-300)
-        wvar = s2 / safe - (s1 / safe) * (s1 / safe)
-    else:
-        wvar = 0.0
+    """(level, slope) of the local-linear fit at one query q: the weighted
+    line fit over q's window, with the moments taken about the window's mean
+    c.  About q, the moments of a far-extrapolated widened query would lose
+    digits to cancellation; about c they stay within the window's spread.
+    A degenerate query raises with strict=True and is refit at the widened
+    bandwidth otherwise."""
+    lo, hi = map(int, _support(xs, q, h))
+    x, y = xs[lo:hi], ys[lo:hi]
     window = min(h, float(xs[-1] - xs[0]))
-    # Past n_w < 3, lo and hi - 1 index the window: no clip is needed.
-    if n_w < 3 or xs[hi - 1] == xs[lo] or wvar <= 1e-13 * window * window:
-        if strict:
-            raise DegenerateFitError(
-                f"degenerate local-linear fit at query x={q:.6g} (bandwidth h={h:.6g})"
-            )
-        return _ll_point(q, xs, ys, _nn_bandwidth(q, xs, h))
-    det = s0 * s2 - s1 * s1
-    if det == 0.0:  # the array path's inf or nan, which Python floats raise on
-        levels, slopes = _ll_sorted(q, xs, ys, h)
-        return float(levels[0]), float(slopes[0])
-    slope = (s0 * t1 - s1 * t0) / det
-    return (s2 * t0 - s1 * t1) / det + slope * delta, slope
+    if hi - lo >= 3 and x[0] != x[-1]:
+        c = float(x.mean())
+        d = x - c
+        w = 0.75 * (1.0 - ((x - q) / h) ** 2)
+        wd = w * d
+        s0, s1, s2 = float(w.sum()), float(wd.sum()), float(wd @ d)
+        if s0 > 0 and s2 / s0 - (s1 / s0) ** 2 > 1e-13 * window * window:
+            t0, t1 = float(w @ y), float(wd @ y)
+            det = s0 * s2 - s1 * s1
+            slope = (s0 * t1 - s1 * t0) / det
+            return (s2 * t0 - s1 * t1) / det + slope * (q - c), slope
+    if strict:
+        raise DegenerateFitError(
+            f"degenerate local-linear fit at query x={q:.6g} (bandwidth h={h:.6g})"
+        )
+    return _ll_point(q, xs, ys, _nn_bandwidth(q, xs, h))
 
 
 # Kept public: tests/test_acceptance.py checks the fit through it.
@@ -365,10 +326,9 @@ def _evaluator(xs, ys, h):
     function of query points: a float for a scalar query, else an array."""
 
     def curve(q):
-        if np.isscalar(q) and math.isfinite(q):
-            return float(_ll_point(float(q), xs, ys, h, strict=False)[0])
-        levels, _ = _ll_sorted(q, xs, ys, h, strict=False)
-        return float(levels[0]) if np.isscalar(q) else levels
+        if np.isscalar(q):
+            return _ll_point(float(q), xs, ys, h, strict=False)[0]
+        return _ll_sorted(q, xs, ys, h, strict=False)[0]
 
     return curve
 

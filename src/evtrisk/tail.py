@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, TailError
+from .errors import DegenerateFitError, InputError, TailError
 from .smoothing import LocationScaleFit, rot_bandwidth_density
 
 QUANTILE_TOL = 1e-10
@@ -176,8 +176,14 @@ def extract_tail_empirical(residuals, N: int) -> TailSample:
 
 def extract_tail(fit: LocationScaleFit, N: int) -> TailSample:
     """Tail of the standardized first-stage residuals above the smoothed
-    a_N-quantile, at the interquartile-range bandwidth of those residuals."""
-    return extract_tail_smoothed(fit.residuals, N, rot_bandwidth_density(fit.residuals))
+    a_N-quantile, at the interquartile-range bandwidth of those residuals.
+    The residuals are fitted, not given: a zero interquartile range among
+    them is a degenerate fit, not bad input."""
+    try:
+        h3 = rot_bandwidth_density(fit.residuals)
+    except InputError as exc:
+        raise DegenerateFitError(f"standardized residuals: {exc}") from exc
+    return extract_tail_smoothed(fit.residuals, N, h3)
 
 
 def rethreshold(sample: TailSample, N: int) -> TailSample:

@@ -242,6 +242,19 @@ def test_estimate_flat_series_exit_codes(tmp_path, capsys, values, code, message
     assert capsys.readouterr().err.strip() == message
 
 
+def test_estimate_zero_residual_iqr_is_a_numerical_failure(tmp_path, capsys):
+    # 199 of the 249 pairs (lagged return, return) are (0, 0), so their
+    # standardized residuals are one value.  The residuals' zero
+    # interquartile range is a degenerate fit, not bad input.
+    values = np.concatenate([np.zeros(200), np.random.default_rng(0).standard_t(3, size=50)])
+    data = tmp_path / "returns.csv"
+    data.write_text("return\n" + "\n".join(repr(float(v)) for v in values), encoding="utf-8")
+    assert main(["estimate", "--returns", str(data), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: standardized residuals: interquartile range is zero (degenerate sample)"
+    )
+
+
 def test_mc_unknown_design(tmp_path):
     code = main(["mc", "--design", "table9", "--reps", "1",
                  "--out", str(tmp_path / "x.csv")])
@@ -405,18 +418,32 @@ def _estimate_report(tmp_path, values, *flags):
 
 
 def test_estimate_is_scale_equivariant(tmp_path):
-    # Scaling the returns by s leaves the standardized residuals, hence h3,
-    # the threshold and the fitted shape, as they are, and scales CVaR and
-    # CES by s.  s * v rounds each return once: measured, the three scales
-    # agree to 4.1e-15 relative.
+    # Mapping the returns v to s v + beta maps the covariate and the query
+    # point alike.  The standardized residuals, hence h3, the threshold and
+    # the fitted shape, stay as they are; the bandwidths h1 and h2 scale by
+    # s, h_x by s^2, and m_x and the point estimates move as s (.) + beta.
+    # s v + beta rounds each return once: measured, the worst disagreement
+    # is 4.6e-15 relative for a pure scaling and 7.4e-13 with a shift (h1 at
+    # beta = 1), hence the two tolerances.  The interval endpoints are left
+    # out: they scale but do not yet shift, because assemble divides the
+    # whole of m + h^(1/2) q by 1 -+ z sqrt(Sigma/N).
+    def readings(report):
+        first, tail, estimates = report["first_stage"], report["tail"], report["estimates"]
+        return (
+            [first["h1"], first["h2"]],
+            [first["h_x"]],
+            [first["m_x"]] + [estimates[key] for key in ("cvar", "ces", "cvar_bc", "ces_bc")],
+            [tail[key] for key in ("h3", "q_tilde", "k")],
+        )
+
     values = load_returns(GOLDEN_RETURNS).values
-    base = None
-    for s in (1.0, 100.0, 1e4):
-        report = _estimate_report(tmp_path, s * values, "--a", "0.99")
-        got = [report["tail"][key] for key in ("h3", "q_tilde", "k")]
-        got += [report["estimates"][key] / s for key in ("cvar", "ces")]
-        base = base or got
-        assert got == pytest.approx(base, rel=1e-12, abs=0.0)
+    scaled, variance, located, fixed = readings(_estimate_report(tmp_path, values, "--a", "0.99"))
+    for s, beta in ((100.0, 0.0), (1e4, 0.0), (1e-2, 0.0), (1.0, 0.05), (1.0, 1.0), (3.0, -0.2)):
+        got = readings(_estimate_report(tmp_path, s * values + beta, "--a", "0.99"))
+        want = ([s * v for v in scaled], [s * s * v for v in variance],
+                [s * v + beta for v in located], fixed)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12 if beta == 0.0 else 1e-11, abs=0.0), (s, beta)
 
 
 def test_backtest_forecast_equals_estimate_on_its_window(tmp_path):

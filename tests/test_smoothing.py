@@ -560,7 +560,8 @@ def test_nn_bandwidth_equals_full_sort_oracle(n):
 def test_ll_sorted_query_order_and_scalar_queries():
     # Handing over the design's own stable order gives the same floats, and
     # widens the same queries, as a call that sorts a shuffled copy of the
-    # queries itself; a scalar query gives the same float as a length-1 array.
+    # queries itself.  A scalar query, which the one-point fit answers, gives
+    # a float that agrees with a length-1 array's to the dense tolerance.
     rng = np.random.default_rng(14)
     fit = fit_location_scale(ReturnSeries(rng.standard_t(3, size=1001), kind="raw"))
     order = np.argsort(fit.x, kind="stable")
@@ -576,11 +577,12 @@ def test_ll_sorted_query_order_and_scalar_queries():
     assert sorted(shuffled_widened) == sorted(widened)
     assert shuffled[0].tobytes() == levels[perm].tobytes()
     assert shuffled[1].tobytes() == slopes[perm].tobytes()
+    u2 = (fit.y - fit.m_hat(fit.x)) ** 2
     for q in (float(fit.x[0]), float(np.median(fit.x)), float(fit.x.max()), float(fit.x.max()) + 1.0):
-        for curve in (fit.m_hat, fit.h_hat):
-            scalar = curve(q)
+        for curve, response in ((fit.m_hat, fit.y), (fit.h_hat, u2)):
+            scalar, array = curve(q), curve(np.array([q]))[0]
             assert isinstance(scalar, float)
-            assert np.float64(scalar).tobytes() == curve(np.array([q]))[0].tobytes()
+            assert abs(scalar - array) <= 1e-10 * max(float(np.max(np.abs(response))), abs(array))
 
 
 def _fit_or_message(fit):
@@ -588,15 +590,32 @@ def _fit_or_message(fit):
         level, slope = fit()
     except DegenerateFitError as exc:
         return str(exc)
-    return np.float64(level).tobytes(), np.float64(slope).tobytes()
+    return float(np.ravel(level)[0]), float(np.ravel(slope)[0])
 
 
-def test_one_point_fit_matches_array_path_bitwise():
-    # _ll_point gives _ll_sorted's floats for one query: at queries inside
+def _assert_point_matches_dense(q, x, y, h, strict):
+    """_ll_point on the sorted design agrees with the dense oracle: levels
+    within 1e-10 max(|y|, |level|) and slopes within 1e-10 max(|y|/h,
+    |slope|), as in assert_matches_dense, or the same message."""
+    order = np.argsort(x, kind="stable")
+    got = _fit_or_message(lambda: smoothing._ll_point(q, x[order], y[order], h, strict))
+    dense = _fit_or_message(lambda: oracles.local_linear_dense(q, x, y, h, strict))
+    if isinstance(dense, str):
+        assert got == dense
+        return got
+    assert not isinstance(got, str), got
+    y_max = float(np.max(np.abs(y)))
+    for value, want, scale in zip(got, dense, (y_max, y_max / h)):
+        assert abs(value - want) <= 1e-10 * max(scale, abs(want)), (q, h, strict)
+    return got
+
+
+def test_one_point_fit_matches_dense_oracle():
+    # _ll_point agrees with the dense oracle for one query: at queries inside
     # the data, on design points (tied ones included), on a window end and
-    # far outside; a degenerate query raises the same message when strict
-    # and, when not, gives the array path's floats at the widened bandwidth,
-    # or its message where no bandwidth helps (two points, or all tied).
+    # far outside.  A degenerate query raises the same message when strict
+    # and, when not, is widened to the same fit, or raises the same message
+    # where no bandwidth helps (two points, or all tied).
     rng = np.random.default_rng(20)
     seen = {"fit": 0, "widened": 0, "raised": 0}
     for trial in range(600):
@@ -607,25 +626,22 @@ def test_one_point_fit_matches_array_path_bitwise():
         if trial % 10 == 9:
             x = np.full(n, 0.5)
         y = np.sin(x) + 0.3 * rng.standard_normal(n)
-        order = np.argsort(x, kind="stable")
-        xs, ys = x[order], y[order]
+        xs = np.sort(x)
         h = float(rng.choice([0.02, 0.2, 1.0])) * float(rng.uniform(0.5, 2.0))
         q = [float(rng.uniform(xs[0] - 1.0, xs[-1] + 1.0)),
              float(xs[rng.integers(n)]),
              float(xs[rng.integers(n)]) + h,
              float(xs[-1]) + 50.0 * h][trial % 4]
-        array = _fit_or_message(lambda: smoothing._ll_sorted(q, xs, ys, h))
-        assert _fit_or_message(lambda: smoothing._ll_point(q, xs, ys, h)) == array
-        if isinstance(array, str):
-            try:
-                hq = smoothing._nn_bandwidth(q, xs, h)
-            except DegenerateFitError as exc:
-                widened = str(exc)
-            else:
-                widened = _fit_or_message(lambda: smoothing._ll_sorted(q, xs, ys, hq))
-            seen["widened" if isinstance(widened, tuple) else "raised"] += 1
+        strict, widened = (_assert_point_matches_dense(q, x, y, h, s) for s in (True, False))
+        if isinstance(strict, str):
+            seen["raised" if isinstance(widened, str) else "widened"] += 1
         else:
-            widened = array
             seen["fit"] += 1
-        assert _fit_or_message(lambda: smoothing._ll_point(q, xs, ys, h, strict=False)) == widened
     assert min(seen.values()) > 20, seen
+    # Three distinct covariates within 2e-9 of each other are not tied, but
+    # their weighted variance is below the degeneracy threshold.
+    x = np.array([0.0, 1e-9, 2e-9, 1.0, 1.5, 2.0])
+    for strict in (True, False):
+        assert _assert_point_matches_dense(0.0, x, np.sin(x), 0.5, strict) == (
+            "degenerate local-linear fit at query x=0 (bandwidth h=0.5)"
+        )
