@@ -28,10 +28,10 @@ O(log n + w) for the w points of the window (README, "Performance", gives
 its measured cost).  It agrees with the block path to rounding, not bit
 for bit.  A degenerate query is refit with its bandwidth widened to reach
 its nearest neighbours, whose radius is found on the sorted design in
-O(log n + k) for the k points within it.  The
-dense fit, which evaluates the kernel at every point for every query, and
-the full sort of the distances for the widening are kept as the test
-oracles ``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
+O(log n + k) for the k points within it.  The dense fit, which evaluates
+the kernel at every point for every query, and the full sort of the
+distances for the widening are kept as the test oracles
+``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
 """
 
 from __future__ import annotations
