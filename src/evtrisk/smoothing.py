@@ -52,8 +52,9 @@ ROT_KERNEL_CONST = 15.0 ** 0.2
 # Undersmoothing exponent delta of the CDF bandwidth rate n^(-1/5 + delta).
 DENSITY_RATE_DELTA = 0.01
 
-# Variance fits at or below this are treated as nonpositive when standardizing.
-H_EPS = 1e-12
+# Variance fits at or below this fraction of the mean squared residual are
+# treated as nonpositive when standardizing: 1e-12 at returns of scale 0.01.
+H_EPS = 1e-8
 
 
 def _nn_bandwidth(q, xs, h):
@@ -338,7 +339,8 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
 
     The conditioning variable is the lag-th lagged observation, so the
     effective sample drops the first ``lag`` points.  Residuals are set to
-    exactly 0 wherever the variance fit is nonpositive (below 1e-12).  A
+    exactly 0 wherever the variance fit is nonpositive (at or below H_EPS
+    times the mean squared residual, so the rule is scale-free).  A
     constant series has no scale to standardize by and is rejected as
     input; a constant covariate under a varying response is a degenerate
     fit.
@@ -371,8 +373,9 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     u2s = u2[order]
     h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False, order=order)
 
-    positive = h_at_x > H_EPS
-    if not np.any(positive) and np.any(u2 > H_EPS**2):
+    floor = H_EPS * float(np.mean(u2))
+    positive = h_at_x > floor
+    if not np.any(positive) and floor > 0.0:
         raise DegenerateFitError("variance fit is nonpositive at every sample point")
     residuals = np.zeros(n_eff)
     residuals[positive] = u[positive] / np.sqrt(h_at_x[positive])

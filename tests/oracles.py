@@ -17,7 +17,7 @@ so that each compares one replaced step and not its inputs:
 - ``smoothed_quantile_windowed`` evaluates F with ``tail._cdf_sorted``
   (checked against ``smoothed_cdf_oracle``);
 - ``gpd_mle_newton_oracle`` starts from ``gpd.moment_stats`` and steps by
-  ``gpd._ascent_direction`` over ``loglik_grad_hess_oracle``;
+  its own ``_ascent_direction`` over ``loglik_grad_hess_oracle``;
 - ``simulate_oracle`` draws with ``mc._rng`` and ``mc._t_std_factor`` and
   steps with ``mc._variance_at`` (checked against ``variance_fn``).
 """
@@ -46,7 +46,6 @@ from evtrisk.gpd import (
     MLE_GRAD_TOL,
     MLE_MAX_ITER,
     GpdParams,
-    _ascent_direction,
     _check_pole,
     moment_stats,
 )
@@ -512,7 +511,9 @@ def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
     with the same degeneracy test and nearest-neighbor fallback.  The weight
     0.75 (1 - ((x - q)/h)^2) counts on the window fl(q - h) < x < fl(q + h)
     that evtrisk.smoothing uses, and the 3-point test counts the points in
-    that window."""
+    that window.  The moments are taken about the window's mean, as
+    ``smoothing._ll_point`` takes them: about q, a far-extrapolated widened
+    query loses digits to cancellation."""
     queries = np.atleast_1d(np.asarray(queries, dtype=float))
     levels = np.empty(queries.size)
     slopes = np.empty(queries.size)
@@ -523,11 +524,14 @@ def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
         inside = (x > (q - h)[:, None]) & (x < (q + h)[:, None])
         w = np.where(inside, 0.75 * (1.0 - (xc / h) ** 2), 0.0)
         count = np.count_nonzero(inside, axis=1)
+        with np.errstate(invalid="ignore"):  # an empty window has no mean
+            c = np.where(inside, x, 0.0).sum(axis=1) / count
+        d = x[None, :] - c[:, None]
         s0 = w.sum(axis=1)
-        s1 = (w * xc).sum(axis=1)
-        s2 = (w * xc * xc).sum(axis=1)
+        s1 = (w * d).sum(axis=1)
+        s2 = (w * d * d).sum(axis=1)
         t0 = (w * y).sum(axis=1)
-        t1 = (w * xc * y).sum(axis=1)
+        t1 = (w * d * y).sum(axis=1)
         det = s0 * s2 - s1 * s1
         with np.errstate(invalid="ignore", divide="ignore"):
             safe = np.maximum(s0, 1e-300)
@@ -546,8 +550,9 @@ def local_linear_dense(queries, x, y, h, strict=True, chunk=512):
                 levels[idx], slopes[idx] = lv[0], sl[0]
         good = ~bad
         sl_idx = np.arange(start, start + q.size)[good]
-        levels[sl_idx] = (s2[good] * t0[good] - s1[good] * t1[good]) / det[good]
         slopes[sl_idx] = (s0[good] * t1[good] - s1[good] * t0[good]) / det[good]
+        levels[sl_idx] = ((s2[good] * t0[good] - s1[good] * t1[good]) / det[good]
+                          + slopes[sl_idx] * (q[good] - c[good]))
     return levels, slopes
 
 
@@ -701,10 +706,25 @@ def smoothed_quantile_windowed(a, residuals, h3):
     return mid
 
 
+def _ascent_direction(grad, hess):
+    """Newton direction, damped until the Hessian is negative definite."""
+    try:
+        eig = np.linalg.eigvalsh(hess)
+        lam_max = float(eig.max())
+        if lam_max > -1e-10:
+            shift = lam_max + max(1e-6, 0.1 * abs(lam_max))
+            hess = hess - shift * np.eye(2)
+        return np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"GPD Newton step failed: {exc}") from exc
+
+
 def gpd_mle_newton_oracle(tail):
-    """The Newton loop `gpd.gpd_mle` replaced, over
-    `loglik_grad_hess_oracle`: all three directions built at every step,
-    sup-norms by np.max(np.abs(.)).  Returns (params, loglik)."""
+    """The damped Newton search in (log sigma, k) that the profile solver of
+    `gpd.gpd_mle` replaced, over `loglik_grad_hess_oracle`: all three
+    directions built at every step, sup-norms by np.max(np.abs(.)).  At a
+    shape pinned at the domain boundary it returns the best scale at that
+    shape.  Returns (params, loglik)."""
     z = np.asarray(tail.exceedances, dtype=float)
     if z.size < 5:
         raise TailError(f"need at least 5 exceedances to fit the GPD, got {z.size}")

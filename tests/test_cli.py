@@ -423,8 +423,9 @@ def test_estimate_is_scale_equivariant(tmp_path):
     # the fitted shape, stay as they are; the bandwidths h1 and h2 scale by
     # s, h_x by s^2, and m_x and the point estimates move as s (.) + beta.
     # s v + beta rounds each return once: measured, the worst disagreement
-    # is 4.6e-15 relative for a pure scaling and 7.4e-13 with a shift (h1 at
-    # beta = 1), hence the two tolerances.  The interval endpoints are left
+    # is 5.2e-15 relative for a pure scaling (s = 1e-5, where the variance
+    # floor, relative to mean u^2, zeroes no residual) and 7.4e-13 with a
+    # shift (h1 at beta = 1), hence the two tolerances.  The interval endpoints are left
     # out: they scale but do not yet shift, because assemble divides the
     # whole of m + h^(1/2) q by 1 -+ z sqrt(Sigma/N).
     def readings(report):
@@ -438,7 +439,8 @@ def test_estimate_is_scale_equivariant(tmp_path):
 
     values = load_returns(GOLDEN_RETURNS).values
     scaled, variance, located, fixed = readings(_estimate_report(tmp_path, values, "--a", "0.99"))
-    for s, beta in ((100.0, 0.0), (1e4, 0.0), (1e-2, 0.0), (1.0, 0.05), (1.0, 1.0), (3.0, -0.2)):
+    for s, beta in ((100.0, 0.0), (1e4, 0.0), (1e-2, 0.0), (1e-4, 0.0), (1e-5, 0.0),
+                    (1.0, 0.05), (1.0, 1.0), (3.0, -0.2)):
         got = readings(_estimate_report(tmp_path, s * values + beta, "--a", "0.99"))
         want = ([s * v for v in scaled], [s * s * v for v in variance],
                 [s * v + beta for v in located], fixed)
