@@ -36,6 +36,7 @@ distances for the widening are kept as the test oracles
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -295,14 +296,37 @@ def rot_bandwidth_regression(x, y) -> float:
     return float(np.clip(h, 1e-3 * span, span))
 
 
+def _ascending(values):
+    """values as a flat float array in ascending order.  An array already in
+    that order is returned as it is: the check is one pass, a sort is not."""
+    v = np.asarray(values, dtype=float).ravel()
+    if not (v[1:] >= v[:-1]).all():  # a NaN fails the check and is sorted last
+        v = np.sort(v)
+    return v
+
+
+def _quantile_linear(xs, q: float) -> float:
+    """np.percentile's linear rule at q on the ascending xs: the value at
+    index (n - 1) q, interpolated between its neighbours in the same
+    floating-point steps, so the two agree bit for bit."""
+    v = (xs.size - 1) * q  # below n - 1 for q < 1
+    i = int(v)
+    g = v - i
+    a, b = float(xs[i]), float(xs[i + 1])
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def rot_bandwidth_density(x) -> float:
     """Interquartile-range bandwidth 0.79 R n^(-1/5 + delta) for CDF smoothing,
-    with n the sample size and delta = DENSITY_RATE_DELTA."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 4:
-        raise InputError(f"need at least 4 observations, got {x.size}")
-    q25, q75 = np.percentile(x, [25.0, 75.0])
-    r = float(q75 - q25)
+    with n the sample size and delta = DENSITY_RATE_DELTA.  The quartiles are
+    np.percentile's, read off the values in ascending order; a NaN makes them
+    NaN, as it does there."""
+    xs = _ascending(x)
+    if xs.size < 4:
+        raise InputError(f"need at least 4 observations, got {xs.size}")
+    r = _quantile_linear(xs, 0.75) - _quantile_linear(xs, 0.25)
+    if np.isnan(xs[-1]):
+        r = math.nan
     if r <= 0:
         raise InputError("interquartile range is zero (degenerate sample)")
     return 0.79 * r * x.size ** (-0.2 + DENSITY_RATE_DELTA)

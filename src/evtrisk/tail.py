@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, InputError, TailError
-from .smoothing import LocationScaleFit, rot_bandwidth_density
+from .smoothing import LocationScaleFit, _ascending, rot_bandwidth_density
 
 QUANTILE_TOL = 1e-10
 
@@ -59,7 +59,8 @@ def smoothed_cdf(u: float, residuals, h3: float) -> float:
 def smoothed_quantile(a: float, residuals, h3: float) -> float:
     """Invert the smoothed CDF to |F(q) - a| <= 1e-10 by a safeguarded Newton.
 
-    The residuals are sorted once; each CDF evaluation then binary-searches
+    The residuals are sorted once, or read as they are when already in
+    ascending order; each CDF evaluation then binary-searches
     the kernel window [u - h3, u + h3] and sums the kernel over it, O(log n
     + w) for w residuals in the window in place of O(n).  The iteration
     starts from the empirical a-quantile and steps by Newton with the kernel
@@ -78,7 +79,7 @@ def smoothed_quantile(a: float, residuals, h3: float) -> float:
         raise InputError(f"quantile level must be in (0,1), got {a}")
     if h3 is None or h3 <= 0:
         raise InputError("CDF bandwidth must be positive")
-    rs = np.sort(np.asarray(residuals, dtype=float), axis=None)
+    rs = _ascending(residuals)
     lo = float(rs[0]) - 10.0 * h3
     hi = float(rs[-1]) + 10.0 * h3
     if _cdf_sorted(lo, rs, h3) > a or _cdf_sorted(hi, rs, h3) < a:
@@ -129,17 +130,17 @@ def empirical_quantile(values_sorted, a: float) -> float:
     return float(values_sorted[idx - 1])
 
 
-def _build_sample(residuals, N, h3, kind) -> TailSample:
+def _build_sample(residuals_sorted, N, h3, kind) -> TailSample:
     """The only place the threshold rule is decided: exceedances over the
-    a_N = 1 - N/n quantile, the order statistic for kind "empirical", else
-    the smoothed quantile at bandwidth h3.  Where the (n-N)-th and next
+    a_N = 1 - N/n quantile of the ascending residuals_sorted, the order
+    statistic for kind "empirical", else the smoothed quantile at bandwidth
+    h3.  The residuals are not sorted again here, nor in the quantile.  Where the (n-N)-th and next
     smallest residuals lie more than 2 h3 apart, F equals a_N on the whole
     stretch between their kernel windows, so every point of it meets the
     quantile's tolerance: such a threshold is not unique and is rejected."""
-    n = residuals.size
+    n = residuals_sorted.size
     if not 0 < N < n:
         raise InputError(f"tail count N={N} must satisfy 0 < N < n={n}")
-    residuals_sorted = np.sort(residuals)
     a_N = 1.0 - N / n
     if kind == "empirical":
         q_tilde = empirical_quantile(residuals_sorted, a_N)
@@ -166,27 +167,29 @@ def _build_sample(residuals, N, h3, kind) -> TailSample:
 
 def extract_tail_smoothed(residuals, N: int, h3: float) -> TailSample:
     """Exceedances over the smoothed a_N-quantile at CDF bandwidth h3."""
-    return _build_sample(np.asarray(residuals, dtype=float), N, h3, "smoothed")
+    return _build_sample(np.sort(np.asarray(residuals, dtype=float)), N, h3, "smoothed")
 
 
 def extract_tail_empirical(residuals, N: int) -> TailSample:
     """Exceedances over the empirical a_N-quantile (comparator construction)."""
-    return _build_sample(np.asarray(residuals, dtype=float), N, None, "empirical")
+    return _build_sample(np.sort(np.asarray(residuals, dtype=float)), N, None, "empirical")
 
 
 def extract_tail(fit: LocationScaleFit, N: int) -> TailSample:
     """Tail of the standardized first-stage residuals above the smoothed
     a_N-quantile, at the interquartile-range bandwidth of those residuals.
     The residuals are fitted, not given: a zero interquartile range among
-    them is a degenerate fit, not bad input."""
+    them is a degenerate fit, not bad input.  The residuals are sorted once,
+    for the bandwidth's quartiles and the threshold alike."""
+    residuals_sorted = np.sort(fit.residuals)
     try:
-        h3 = rot_bandwidth_density(fit.residuals)
+        h3 = rot_bandwidth_density(residuals_sorted)
     except InputError as exc:
         raise DegenerateFitError(f"standardized residuals: {exc}") from exc
-    return extract_tail_smoothed(fit.residuals, N, h3)
+    return _build_sample(residuals_sorted, N, h3, "smoothed")
 
 
 def rethreshold(sample: TailSample, N: int) -> TailSample:
     """The same residuals' tail at tail count N, under the sample's own
-    threshold rule."""
+    threshold rule, read from its sorted residuals without a sort."""
     return _build_sample(sample.residuals_sorted, N, sample.h3, sample.threshold_kind)

@@ -228,6 +228,25 @@ def test_rot_density_location_invariance():
     assert rot_bandwidth_density(x + 11.0) == pytest.approx(rot_bandwidth_density(x), rel=1e-12)
 
 
+def test_rot_density_quartiles_are_percentiles_bitwise():
+    # The quartiles are read off the ascending values by np.percentile's
+    # linear rule, so the bandwidth is the np.percentile one bit for bit:
+    # every n mod 4, tied values, sorted and unsorted input; a NaN gives NaN.
+    rng = np.random.default_rng(31)
+    checked = 0
+    for n in range(4, 120):
+        for x in (rng.standard_t(3, n), np.round(rng.standard_normal(n), 1)):
+            q25, q75 = np.percentile(x, [25.0, 75.0])
+            if q75 == q25:
+                continue
+            want = 0.79 * float(q75 - q25) * n ** (-0.2 + smoothing.DENSITY_RATE_DELTA)
+            assert rot_bandwidth_density(x) == want
+            assert rot_bandwidth_density(np.sort(x)) == want
+            checked += 1
+    assert checked > 200
+    assert np.isnan(rot_bandwidth_density(np.r_[np.arange(10.0), np.nan]))
+
+
 # ---------------------------------------------------------------- first stage
 
 

@@ -344,6 +344,32 @@ def test_extract_tail_from_fit():
     assert sample.h3 is not None
 
 
+def test_tail_samples_sort_once_and_keep_every_bit(monkeypatch):
+    # extract_tail sorts the residuals once, for the bandwidth and the
+    # threshold; the quantile and a re-thresholded sample read that copy.
+    # Every field equals the path that sorted in each step and took the
+    # quartiles with np.percentile.
+    rng = np.random.default_rng(15)
+    fit = fit_location_scale(ReturnSeries(rng.standard_t(4, 1000), kind="raw"))
+    res = fit.residuals
+    q25, q75 = np.percentile(res, [25.0, 75.0])
+    h3 = 0.79 * float(q75 - q25) * res.size ** (-0.19)
+    sorts = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
+    got = extract_tail(fit, N=100)
+    wide = tail.rethreshold(got, 250)
+    monkeypatch.undo()
+    assert len(sorts) == 1
+    for sample, N in ((got, 100), (wide, 250)):
+        want = extract_tail_smoothed(rng.permutation(res), N, h3)
+        for name in ("q_tilde", "N_s", "h3", "a_N"):
+            assert getattr(sample, name) == getattr(want, name), name
+        np.testing.assert_array_equal(sample.exceedances, want.exceedances)
+        np.testing.assert_array_equal(sample.residuals_sorted, want.residuals_sorted)
+        assert smoothed_quantile(sample.a_N, rng.permutation(res), h3) == sample.q_tilde
+
+
 def test_empirical_quantile_order_statistic():
     values = np.arange(1.0, 11.0)
     # n a integer: x_(na)
