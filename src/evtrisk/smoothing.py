@@ -134,7 +134,7 @@ def _window_sums(xs, ys, qs, lo, hi, h):
         if last > first:
             mid = (start + stop - 1) // 2
             near = slice(lo[mid], hi[mid]) if hi[mid] > lo[mid] else slice(first, last)
-            c = float(xs[near].mean())
+            c = float(np.add.reduce(xs[near]) / (near.stop - near.start))  # np.mean, bit for bit
             # Rows y, d, d y, d^2, d^2 y, d^3, d^3 y, d^4 over the block.
             terms = np.empty((8, last - first))
             y, d, d2 = terms[0], terms[1], terms[3]
