@@ -57,7 +57,6 @@ from .smoothing import (
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,
-    rot_bandwidth_regression,
 )
 from .tail import TailSample, choose_N, extract_tail, smoothed_cdf, smoothed_quantile
 

@@ -8,7 +8,10 @@ degrees of freedom the tail index is k0 = -1/v.
 The MLE is a root in one dimension (Grimshaw 1993): at fixed theta = k/sigma
 the likelihood peaks at sigma(theta) = mean(z phi(theta z)), phi(c) =
 -log(1 - c)/c, and k = theta sigma, and gpd_mle finds where that profile's
-score vanishes.  The 2-D Newton search it replaced is a test oracle.
+score vanishes, starting from the probability-weighted moment fit (Hosking &
+Wallis 1987), which lands near the root.  One profile evaluation is one
+pass of phi over the exceedances and one reduction of its five means.  The
+2-D Newton search it replaced is a test oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ RHO_FALLBACK = -2.0     # heavy-tail anchor used when the log argument degenerat
 MLE_MAX_ITER = 200      # Newton iterations before the MLE gives up
 MLE_GRAD_TOL = 1e-9     # sup-norm of the gradient accepted as converged
 RHO_C = 0.25            # rho_hat's enlarged tail counts: round(c N log n) at c = RHO_C, RHO_C/2
+K_START = (-0.85, -0.01)  # the MLE's starting shape is clamped to this negative range
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,38 @@ def _profile(z, theta: float):
     return sigma, theta * sigma, m2 - ratio, m3 - m4 / sigma + ratio * ratio
 
 
+def _pwm_start(z) -> float:
+    """theta = k/sigma of the probability-weighted moment fit (Hosking &
+    Wallis 1987) to the ascending exceedances z, its shape clamped to
+    K_START.
+
+    With b0 = mean(z) and a1 = mean(z_(j) (N - j)/(N - 1)), the fit is
+    k = (4 a1 - b0)/(b0 - 2 a1) and sigma = b0 (1 + k); b0 - 2 a1 <= 0
+    (all exceedances equal, up to rounding) reads as an unbounded shape.
+    TailSample holds its exceedances in ascending order; any other order
+    would only move the start.
+    """
+    n = z.size
+    b0 = float(np.add.reduce(z)) / n
+    a1 = float(z @ np.arange(n - 1.0, -1.0, -1.0)) / (n * (n - 1.0))
+    gap = b0 - 2.0 * a1
+    k0 = (4.0 * a1 - b0) / gap if gap > 0.0 else math.inf
+    k0 = min(max(k0, K_START[0]), K_START[1])
+    return k0 / (b0 * (1.0 + k0))
+
+
 def gpd_mle(tail: TailSample):
     """Maximize the GPD log likelihood of the exceedances through its
     profile in theta = k/sigma.  Returns (params, loglik).
 
     A safeguarded Newton iteration for the score's root, from theta =
-    k0/sigma0 of moment-based values.  Its bracket holds the points
-    evaluated so far and the domain theta < 1/max z, |k(theta)| < K_DOMAIN
-    (k rises with theta); a step out of it, or a nonnegative slope,
-    bisects it instead.  It stops inside the domain once N |score| / sigma
+    k0/sigma0 of the probability-weighted moment fit (_pwm_start), its
+    shape clamped to the negative range K_START.  A negative start keeps
+    theta below 0 < 1/max z, where the profile is defined; an unclamped
+    positive one can lie past 1/max z, where the search for the bracket's
+    left end stalls.  The bracket holds the points evaluated so far and
+    the domain theta < 1/max z, |k(theta)| < K_DOMAIN (k rises with
+    theta); a step out of it, or a nonnegative slope, bisects it instead.  It stops inside the domain once N |score| / sigma
     < MLE_GRAD_TOL, the sup-norm of the gradient in (log sigma, k) there.
     Where the likelihood rises up to a domain end, the bracket closes on
     it and the last point inside is returned with an EstimationWarning
@@ -139,14 +166,7 @@ def gpd_mle(tail: TailSample):
     if z.size < 5:
         raise TailError(f"need at least 5 exceedances to fit the GPD, got {z.size}")
 
-    k0 = -0.1
-    sigma0 = float(z.mean())
-    if tail.q_tilde > 0:
-        k_mom, _ = moment_stats(tail)
-        if -K_DOMAIN < k_mom < 0.0:
-            k0 = max(k_mom, -0.85)
-            sigma0 = -k0 * tail.q_tilde
-    theta = k0 / sigma0
+    theta = _pwm_start(z)
     top = 1.0 / float(z.max())
     lo, hi = -math.inf, top
     k = score = math.nan

@@ -257,16 +257,20 @@ def local_linear(query, data_x, data_y, h):
     return float(levels[0]), np.array([slopes[0]])
 
 
-def rot_bandwidth_regression(x, y) -> float:
-    """Rule-of-thumb plug-in bandwidth from a global quartic pilot fit.
+def _quartic_pilot(x):
+    """Rule-of-thumb plug-in bandwidth from a global quartic pilot fit, as a
+    function of the response: the design in x is factored here, once, and
+    each response is then solved against the factors.
 
-    A quartic polynomial is fit by OLS, its curvature and residual variance
-    plug into the asymptotically optimal local-linear bandwidth with the
-    Epanechnikov constant.  The result is floored at 1e-3 of the covariate
-    range and capped at the range.
+    A quartic polynomial in the standardized covariate is fit by least
+    squares, with np.linalg.lstsq's semantics: the minimum-norm solution,
+    singular values at or below eps max(n, 5) times the largest treated as
+    zero.  Its curvature and residual variance plug into the asymptotically
+    optimal local-linear bandwidth with the Epanechnikov constant.  The
+    result is floored at 1e-3 of the covariate range and capped at the
+    range.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     n = x.size
     if n < 10:
         raise InputError(f"need at least 10 points for the plug-in, got {n}")
@@ -276,24 +280,35 @@ def rot_bandwidth_regression(x, y) -> float:
     # Centered and scaled fit for conditioning; curvature mapped back below.
     mu, sd = x.mean(), x.std()
     z = (x - mu) / sd
-    design = np.vander(z, 5, increasing=True)
+    powers = np.empty((5, n))  # the rows 1, z, ..., z^4, built as np.vander builds them
+    powers[0] = 1.0
+    powers[1] = z
+    for p in range(2, 5):
+        np.multiply(powers[p - 1], z, out=powers[p])
     try:
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        u, s, vt = np.linalg.svd(powers.T, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError(f"quartic pilot fit failed: {exc}") from exc
-    rss = float(np.sum((y - design @ coef) ** 2))
-    sigma2 = rss / (n - 5)
-    curvature = (2.0 * coef[2] + 6.0 * coef[3] * z + 12.0 * coef[4] * z * z) / sd**2
-    curv_sum = float(np.sum(curvature**2))
-    curv_ref = n * (float(np.std(y)) / span**2) ** 2
-    if curv_sum <= 1e-12 * curv_ref:
-        warnings.warn(
-            "quartic pilot found no curvature; falling back to half the range",
-            EstimationWarning,
-        )
-        return span / 2.0
-    h = ROT_KERNEL_CONST * (sigma2 * span / curv_sum) ** 0.2
-    return float(np.clip(h, 1e-3 * span, span))
+    keep = s > np.finfo(float).eps * n * s[0]
+    u, back = u[:, keep], vt[keep].T / s[keep]
+
+    def bandwidth(y) -> float:
+        coef = back @ (u.T @ y)
+        rss = float(np.sum((y - coef @ powers) ** 2))
+        sigma2 = rss / (n - 5)
+        curvature = (2.0 * coef[2] + 6.0 * coef[3] * z + 12.0 * coef[4] * z * z) / sd**2
+        curv_sum = float(np.sum(curvature**2))
+        curv_ref = n * (float(np.std(y)) / span**2) ** 2
+        if curv_sum <= 1e-12 * curv_ref:
+            warnings.warn(
+                "quartic pilot found no curvature; falling back to half the range",
+                EstimationWarning,
+            )
+            return span / 2.0
+        h = ROT_KERNEL_CONST * (sigma2 * span / curv_sum) ** 0.2
+        return float(np.clip(h, 1e-3 * span, span))
+
+    return bandwidth
 
 
 def _ascending(values):
@@ -383,7 +398,8 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
             raise InputError(f"series is constant: all {values.size} values are equal")
         raise DegenerateFitError("conditioning values are all equal")
 
-    h1 = rot_bandwidth_regression(x, y)
+    pilot = _quartic_pilot(x)
+    h1 = pilot(y)
     # One stable sort of the design serves both sample passes and every
     # later m_hat/h_hat query.
     order = np.argsort(x, kind="stable")
@@ -393,7 +409,8 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     m_at_x, _ = _ll_sorted(x, xs, ys, h1, strict=False, order=order)
     u = y - m_at_x
     u2 = u * u
-    h2 = rot_bandwidth_regression(x, u2)
+    h2 = pilot(u2)
+    del pilot  # the design's factors are done with
     u2s = u2[order]
     h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False, order=order)
 

@@ -278,7 +278,7 @@ def test_rolling_large_tail_count_skips_second_order(N):
 
 
 @pytest.mark.parametrize("name, category", [
-    ("lstsq", "DegenerateFitError"),    # quartic pilot of the bandwidth rule
+    ("svd", "DegenerateFitError"),      # quartic pilot of the bandwidth rule
 ])
 def test_linalg_error_fails_one_window(monkeypatch, name, category):
     values = np.random.default_rng(3).standard_t(6, size=330)

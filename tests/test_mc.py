@@ -200,7 +200,7 @@ def fail_first_call(monkeypatch, module, name, error):
 
 
 @pytest.mark.parametrize("name, category", [
-    ("lstsq", "DegenerateFitError"),    # quartic pilot of the bandwidth rule
+    ("svd", "DegenerateFitError"),      # quartic pilot of the bandwidth rule
 ])
 def test_linalg_error_fails_one_replication(monkeypatch, name, category):
     fail_first_call(monkeypatch, np.linalg, name, np.linalg.LinAlgError("injected"))

@@ -17,10 +17,10 @@ from evtrisk.ingest import ReturnSeries
 from evtrisk.mc import _simulate, named_design
 from evtrisk.smoothing import (
     ROT_KERNEL_CONST,
+    _quartic_pilot,
     fit_location_scale,
     local_linear,
     rot_bandwidth_density,
-    rot_bandwidth_regression,
 )
 
 
@@ -160,13 +160,13 @@ def test_rot_regression_linear_fallback():
     x = np.linspace(0, 4, 50)
     y = 1.0 + 2.0 * x
     with pytest.warns(EstimationWarning):
-        h = rot_bandwidth_regression(x, y)
+        h = _quartic_pilot(x)(y)
     assert h == pytest.approx(2.0)
 
 
 def test_rot_regression_noiseless_quadratic_hits_floor():
     x = np.linspace(0, 1, 200)
-    h = rot_bandwidth_regression(x, x**2)
+    h = _quartic_pilot(x)(x**2)
     assert h == pytest.approx(1e-3, abs=1e-12)
 
 
@@ -174,23 +174,52 @@ def test_rot_regression_matches_oracle():
     rng = np.random.default_rng(21)
     x = np.sort(rng.uniform(0, 3, size=500))
     y = x**2 + rng.normal(size=500)
-    assert rot_bandwidth_regression(x, y) == pytest.approx(rot_oracle(x, y), rel=1e-12)
+    assert _quartic_pilot(x)(y) == pytest.approx(rot_oracle(x, y), rel=1e-12)
 
 
 def test_rot_regression_location_invariance():
     rng = np.random.default_rng(22)
     x = rng.uniform(0, 3, size=300)
     y = np.sin(x) + rng.normal(size=300) * 0.3
-    h0 = rot_bandwidth_regression(x, y)
-    h1 = rot_bandwidth_regression(x + 57.0, y)
+    h0 = _quartic_pilot(x)(y)
+    h1 = _quartic_pilot(x + 57.0)(y)
     assert h1 == pytest.approx(h0, rel=1e-9)
+
+
+def test_rot_regression_rank_deficient_design_takes_the_minimum_norm():
+    # On x with 2 to 4 distinct values the quartic design has rank 2 to 4,
+    # and the least-squares coefficients are not unique; the pilot takes
+    # lstsq's minimum-norm ones.  Any other solution differs by a null
+    # vector, a polynomial vanishing at the distinct values, whose
+    # curvature would move the bandwidth.
+    rng = np.random.default_rng(23)
+    for distinct in (2, 3, 4):
+        x = np.repeat(np.arange(distinct, dtype=float) ** 1.3, 15)
+        y = x**2 + rng.standard_normal(x.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            h = _quartic_pilot(x)(y)
+        assert h == pytest.approx(rot_oracle(x, y), rel=1e-12)
+
+
+def test_fit_bandwidths_equal_the_plug_in_oracle():
+    # The pilot is factored once per fit and solved for y and for u^2;
+    # both bandwidths equal the rule solved by lstsq on each response.
+    gen = _load_gen()
+    series = [gen.simulate_returns(7, 1001, 6), gen.simulate_returns(8, 8001, 3),
+              _simulate(replace(named_design("table1"), seed=5), 0).y]
+    for values in series:
+        fit = fit_location_scale(ReturnSeries(values, kind="raw"))
+        u2 = (fit.y - fit.m_hat(fit.x)) ** 2
+        assert fit.h1 == pytest.approx(rot_oracle(fit.x, fit.y), rel=1e-12)
+        assert fit.h2 == pytest.approx(rot_oracle(fit.x, u2), rel=1e-12)
 
 
 def test_rot_regression_preconditions():
     with pytest.raises(InputError):
-        rot_bandwidth_regression(np.arange(5.0), np.arange(5.0))
+        _quartic_pilot(np.arange(5.0))
     with pytest.raises(InputError):
-        rot_bandwidth_regression(np.ones(20), np.arange(20.0))
+        _quartic_pilot(np.ones(20))
 
 
 def test_rot_kernel_constant():
@@ -300,9 +329,9 @@ def test_fit_location_scale_heavy_tails_no_crash():
 
 def test_fit_location_scale_rejects_singular_pilot(monkeypatch):
     def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "lstsq", singular)
+    monkeypatch.setattr(np.linalg, "svd", singular)
     rng = np.random.default_rng(4)
     with pytest.raises(DegenerateFitError, match="quartic pilot fit failed"):
         fit_location_scale(ReturnSeries(rng.standard_normal(200), kind="raw"))
@@ -376,10 +405,11 @@ def assert_stage_one_matches_dense(values):
     """Both sample passes of the first stage, m on y and h on u^2, agree with
     the dense oracle; the variance fit also pointwise where it is positive."""
     x, y = values[:-1], values[1:]
-    h1 = rot_bandwidth_regression(x, y)
+    pilot = _quartic_pilot(x)
+    h1 = pilot(y)
     m_dense, _ = assert_matches_dense(x, x, y, h1)
     u2 = (y - m_dense) ** 2
-    h2 = rot_bandwidth_regression(x, u2)
+    h2 = pilot(u2)
     h_dense, _ = assert_matches_dense(x, x, u2, h2)
     h_fast, _ = windowed_fit(x, x, u2, h2, strict=False)
     positive = h_dense > 0
