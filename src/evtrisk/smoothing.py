@@ -5,6 +5,10 @@ The location-scale model is Y = m(X) + h(X)^{1/2} eps with IID standardized
 innovations.  m is fit by local-linear regression of Y on X, h by a second
 local-linear regression of the squared residuals on X, and the standardized
 residuals are U / h^{1/2}(X) wherever the variance fit is positive, 0 elsewhere.
+Both bandwidths, h1 for m and h2 for h, come from one quartic pilot
+regression on X: its design is factored once per fit by a thin SVD and
+solved for Y, then for U^2, with the minimum-norm semantics and cutoff of
+np.linalg.lstsq.
 
 The local-linear sums are exact and need no pass over all n points per
 query.  The Epanechnikov weight is a polynomial on its support, so the sums
@@ -294,11 +298,12 @@ def _quartic_pilot(x):
 
     def bandwidth(y) -> float:
         coef = back @ (u.T @ y)
-        rss = float(np.sum((y - coef @ powers) ** 2))
-        sigma2 = rss / (n - 5)
+        resid = y - coef @ powers
+        sigma2 = float(resid @ resid) / (n - 5)
         curvature = (2.0 * coef[2] + 6.0 * coef[3] * z + 12.0 * coef[4] * z * z) / sd**2
-        curv_sum = float(np.sum(curvature**2))
-        curv_ref = n * (float(np.std(y)) / span**2) ** 2
+        curv_sum = float(curvature @ curvature)
+        spread = y - float(np.add.reduce(y)) / n
+        curv_ref = float(spread @ spread) / span**4  # n var(y) / span^4
         if curv_sum <= 1e-12 * curv_ref:
             warnings.warn(
                 "quartic pilot found no curvature; falling back to half the range",
@@ -306,7 +311,7 @@ def _quartic_pilot(x):
             )
             return span / 2.0
         h = ROT_KERNEL_CONST * (sigma2 * span / curv_sum) ** 0.2
-        return float(np.clip(h, 1e-3 * span, span))
+        return float(min(max(h, 1e-3 * span), span))
 
     return bandwidth
 
