@@ -349,7 +349,7 @@ def rot_bandwidth_density(x) -> float:
         r = math.nan
     if r <= 0:
         raise InputError("interquartile range is zero (degenerate sample)")
-    return 0.79 * r * x.size ** (-0.2 + DENSITY_RATE_DELTA)
+    return 0.79 * r * xs.size ** (-0.2 + DENSITY_RATE_DELTA)
 
 
 @dataclass

@@ -134,10 +134,11 @@ def _build_sample(residuals_sorted, N, h3, kind) -> TailSample:
     """The only place the threshold rule is decided: exceedances over the
     a_N = 1 - N/n quantile of the ascending residuals_sorted, the order
     statistic for kind "empirical", else the smoothed quantile at bandwidth
-    h3.  The residuals are not sorted again here, nor in the quantile.  Where the (n-N)-th and next
-    smallest residuals lie more than 2 h3 apart, F equals a_N on the whole
-    stretch between their kernel windows, so every point of it meets the
-    quantile's tolerance: such a threshold is not unique and is rejected."""
+    h3.  The residuals are not sorted again here, nor in the quantile.
+    Where the (n-N)-th and next smallest residuals lie more than 2 h3
+    apart, F equals a_N on the whole stretch between their kernel windows,
+    so every point of it meets the quantile's tolerance: such a threshold
+    is not unique and is rejected."""
     n = residuals_sorted.size
     if not 0 < N < n:
         raise InputError(f"tail count N={N} must satisfy 0 < N < n={n}")
