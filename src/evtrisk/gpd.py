@@ -154,8 +154,9 @@ def gpd_mle(tail: TailSample):
     positive one can lie past 1/max z, where the search for the bracket's
     left end stalls.  The bracket holds the points evaluated so far and
     the domain theta < 1/max z, |k(theta)| < K_DOMAIN (k rises with
-    theta); a step out of it, or a nonnegative slope, bisects it instead.  It stops inside the domain once N |score| / sigma
-    < MLE_GRAD_TOL, the sup-norm of the gradient in (log sigma, k) there.
+    theta); a step out of it, or a nonnegative slope, bisects it instead.
+    It stops inside the domain once N |score| / sigma < MLE_GRAD_TOL, the
+    sup-norm of the gradient in (log sigma, k) there.
     Where the likelihood rises up to a domain end, the bracket closes on
     it and the last point inside is returned with an EstimationWarning
     (|k| > K_DOMAIN - 0.02); sigma is then the profile's sigma(theta), not
