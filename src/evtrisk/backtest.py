@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationWarning, EvtriskError, InputError
+from .errors import EstimationWarning, EvtriskError, InputError, run_jobs
 from .gpd import fit_tail
 from .ingest import ReturnSeries
 from .risk import assemble
@@ -117,13 +117,7 @@ def rolling_forecast(
     steps = np.arange(cfg.n - 1, cfg.m - 1)
     N = cfg.tail_count(cfg.n - 1)
     jobs = [(values, t, cfg.n, N, cfg.a_levels) for t in steps]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_forecast_window, jobs, chunksize=8))
-    else:
-        raw = [_forecast_window(job) for job in jobs]
+    raw = run_jobs(_forecast_window, jobs, threads, chunksize=8)
 
     cvar = {a: np.full(steps.size, np.nan) for a in cfg.a_levels}
     ces = {a: np.full(steps.size, np.nan) for a in cfg.a_levels}

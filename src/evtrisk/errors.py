@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the job
+runner of the Monte Carlo and backtest harnesses, which carries each job's
+warnings back from its pool worker."""
+
+import functools
+import warnings
 
 
 class EvtriskError(Exception):
@@ -27,3 +32,30 @@ class PoleError(EvtriskError):
 
 class EstimationWarning(UserWarning):
     """Non-fatal estimation issue: fallbacks, clamps, boundary solutions."""
+
+
+def _recording_warnings(fn, job):
+    """(fn(job), the warnings it issued)."""
+    with warnings.catch_warnings(record=True) as caught:
+        return fn(job), caught
+
+
+def run_jobs(fn, jobs, threads: int, chunksize: int) -> list:
+    """[fn(job) for job in jobs], on a pool of `threads` worker processes
+    when threads > 1.  A worker's warnings would stay in the worker: each
+    job returns its own, and they are issued here, in job order and under
+    this process's filters, as if raised here at any thread count.
+    warn_explicit keeps their origin and, unlike warnings.warn, is not
+    counted again by the benchmark's tracer (perfbench/spans.py)."""
+    call = functools.partial(_recording_warnings, fn)
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(call, jobs, chunksize=chunksize))
+    else:
+        done = [call(job) for job in jobs]
+    registry = {}  # a "default" filter shows a repeated warning once per call
+    for w in (w for _, caught in done for w in caught):
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
+    return [result for result, _ in done]

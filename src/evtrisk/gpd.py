@@ -157,11 +157,12 @@ def gpd_mle(tail: TailSample):
     theta); a step out of it, or a nonnegative slope, bisects it instead.
     It stops inside the domain once N |score| / sigma < MLE_GRAD_TOL, the
     sup-norm of the gradient in (log sigma, k) there.
-    Where the likelihood rises up to a domain end, the bracket closes on
-    it and the last point inside is returned with an EstimationWarning
-    (|k| > K_DOMAIN - 0.02); sigma is then the profile's sigma(theta), not
-    the best scale at that fixed shape.  The step cap, or a bracket closed
-    anywhere else, raises ConvergenceError.
+    Where the likelihood rises up to a domain end, the search stops at the
+    first iterate inside the warning band |k| > K_DOMAIN - 0.02 whose score
+    still points out of the domain, and returns it with an
+    EstimationWarning; sigma is then the profile's sigma(theta), not the
+    best scale at that fixed shape.  The step cap, or a bracket that closes
+    without a root, raises ConvergenceError.
     """
     z = np.asarray(tail.exceedances, dtype=float)
     if z.size < 5:
@@ -180,6 +181,8 @@ def gpd_mle(tail: TailSample):
             if z.size * abs(score) < MLE_GRAD_TOL * sigma:
                 break
             rising = score > 0.0
+            if abs(k) > K_DOMAIN - 0.02 and rising == (theta > 0.0):
+                break                               # in the warning band, heading out
             step = theta - score / slope if slope < 0.0 else math.nan
         if rising:
             lo = theta
@@ -192,8 +195,6 @@ def gpd_mle(tail: TailSample):
         else:                                       # no left end yet
             theta = 2.0 * theta - top               # doubles the distance to 1/max z
         if not lo < theta < hi:
-            if K_DOMAIN - abs(k) < 0.02:
-                break
             raise ConvergenceError(f"GPD profile score stalled at {score:.3e}")
     else:
         raise ConvergenceError("GPD likelihood maximization did not converge")

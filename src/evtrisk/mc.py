@@ -6,9 +6,9 @@ A design simulates Y_t = sin(Y_{t-1}/2) + h_t^{1/2} eps_t with
 h_t = h_i(Y_{t-1}) + theta h_{t-1}, variant h1(y) = 1 + 0.01 y^2 + 0.5 sin(y)
 or h2(y) = 1 - 0.9 exp(-2 y^2) (floored at H2_FLOOR), and unit-variance
 Student-t(v) innovations drawn from a counter-based stream per replication.
-`_simulate` writes h1/h2 out in one loop per variant, and `_variance_at`
-once more for the variance one step past the path; `_t_risk_std` is the
-one transcription of the innovation's quantile and tail mean.  Each
+`_simulate` writes h1/h2 out in one loop per variant, which runs one step
+past the path for the next-step variance; `_t_risk_std` is the one
+transcription of the innovation's quantile and tail mean.  Each
 replication scores both estimator arms against the exact conditional
 CVaR/CES at the path's last observation, built from the path's own
 next-step variance.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EvtriskError, InputError
+from .errors import ConvergenceError, EvtriskError, InputError, run_jobs
 from .gpd import fit_tail
 from .ingest import ReturnSeries
 from .risk import assemble
@@ -111,17 +111,6 @@ def _t_risk_std(a: float, v: int) -> tuple[float, float]:
     return float(c / scale), float(raw / scale)
 
 
-def _variance_at(y: float, variant: str) -> float:
-    """The variance function h1 or h2 at one float.
-
-    math.sin gives np.sin's values; np.exp is kept because math.exp differs
-    from it in the last bit for about 5% of arguments.
-    """
-    if variant == "h1":
-        return 1.0 + 0.01 * y * y + 0.5 * math.sin(y)
-    return 1.0 - 0.9 * float(np.exp(-2.0 * y * y))
-
-
 @dataclass
 class SimPath:
     """Kept window of one simulated path plus the state needed for truths."""
@@ -134,33 +123,33 @@ class SimPath:
 
 def _simulate(design: McDesign, rep: int = 0) -> SimPath:
     """One path of the design's recursion, written out per variance function
-    with local names; each step performs _variance_at's operations in its
-    order, so the path is the same floats."""
+    with local names.  math.sin gives np.sin's values; np.exp is kept
+    because math.exp differs from it in the last bit for about 5% of
+    arguments.  The loop takes one step past the path, on a zero
+    innovation: its variance is h_next, and its observation is dropped."""
     from scipy import special
 
     u = _rng(design.seed, rep).random(BURN_IN + design.n)
     eps = special.stdtrit(design.v, u) / _t_std_factor(design.v)
+    steps = eps.tolist() + [0.0]
     y, h = [], []
     y_append, h_append = y.append, h.append
     sin, sqrt, exp, theta = math.sin, math.sqrt, np.exp, design.theta
     y_prev, h_prev = 0.0, 0.0
     if design.variant == "h1":
-        for e in eps.tolist():
+        for e in steps:
             h_t = 1.0 + 0.01 * y_prev * y_prev + 0.5 * sin(y_prev) + theta * h_prev
             y_prev, h_prev = sin(0.5 * y_prev) + sqrt(h_t) * e, h_t
             y_append(y_prev)
             h_append(h_t)
     else:
-        for e in eps.tolist():
+        for e in steps:
             h_t = max(1.0 - 0.9 * float(exp(-2.0 * y_prev * y_prev)) + theta * h_prev, H2_FLOOR)
             y_prev, h_prev = sin(0.5 * y_prev) + sqrt(h_t) * e, h_t
             y_append(y_prev)
             h_append(h_t)
-    h_next = _variance_at(y_prev, design.variant) + theta * h_prev
-    if design.variant == "h2":
-        h_next = max(h_next, H2_FLOOR)
     return SimPath(
-        y=np.array(y[BURN_IN:]), eps=eps[BURN_IN:], h=np.array(h[BURN_IN:]), h_next=h_next
+        y=np.array(y[BURN_IN:-1]), eps=eps[BURN_IN:], h=np.array(h[BURN_IN:-1]), h_next=h[-1]
     )
 
 
@@ -276,19 +265,13 @@ def run_experiment(design: McDesign, threads: int) -> McResult:
     failed replication counts as non-coverage.  The run aborts when more
     than 5% of replications fail.
     """
+    # Every replication calls scipy.special.  Loaded here, before a pool
+    # forks its workers, it is inherited by them; otherwise each worker
+    # would import it again on every command.
+    import scipy.special  # noqa: F401
+
     jobs = [(design, rep) for rep in range(design.reps)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Every replication calls scipy.special.  Loaded here, before the
-        # pool forks its workers, it is inherited by them; otherwise each
-        # worker would import it again on every command.
-        import scipy.special  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_replicate_star, jobs, chunksize=4))
-    else:
-        raw = [_replicate_star(job) for job in jobs]
+    raw = run_jobs(_replicate_star, jobs, threads, chunksize=4)
 
     failures = [(rep, msg) for rep, _, msg in raw if msg is not None]
     successes = [(rep, rec) for rep, rec, msg in raw if msg is None]

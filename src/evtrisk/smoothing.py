@@ -25,17 +25,19 @@ sums on the data of its middle window; one global origin would lose about
 (span/h)^4 to cancellation.  A fit at m queries costs O((n + m) log n) for
 the sorts and searches plus O(n span/h) for the blocks' partial sums.  Only
 the window sums are taken block by block; the weights, the degeneracy test
-and the line solve run once over all queries.  One query, such as m_hat(x)
-or a widened refit, skips the blocks: _ll_point fits the weighted line
-directly over its window, with the moments about the window's mean, in
-O(log n + w) for the w points of the window (README, "Performance", gives
-its measured cost).  It agrees with the block path to rounding, not bit
-for bit.  A degenerate query is refit with its bandwidth widened to reach
-its nearest neighbours, whose radius is found on the sorted design in
-O(log n + k) for the k points within it.  The dense fit, which evaluates
-the kernel at every point for every query, and the full sort of the
-distances for the widening are kept as the test oracles
-``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
+and the line solve run once over all queries.  One query, such as m_hat(x),
+local_linear(q, ...) or a widened refit, skips the blocks: _ll_point fits
+the weighted line directly over its window, with the moments about the
+window's mean, in O(log n + w) for the w points of the window (README,
+"Performance", gives its measured cost).  It agrees with the block path to
+rounding, not bit for bit.  A degenerate query is refit with its bandwidth
+widened to reach its nearest neighbours, whose radius is found on the
+sorted design in O(log n + k) for the k points within it; only
+local_linear, the one-point fit the acceptance suite checks, raises on a
+degenerate query instead.  The dense fit, which evaluates the kernel at
+every point for every query, and the full sort of the distances for the
+widening are kept as the test oracles ``local_linear_dense`` and
+``_nn_bandwidth`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -160,15 +162,13 @@ def _window_sums(xs, ys, qs, lo, hi, h):
     return sums, centres
 
 
-def _ll_sorted(queries, xs, ys, h, strict=True, order=None):
+def _ll_sorted(queries, xs, ys, h, order=None):
     """Local-linear fit at many queries on a design sorted by covariate.
 
     `order` is the stable argsort of the queries, when the caller has it.
     Queries whose window holds fewer than 3 points, or whose weighted
-    covariate variance is negligible, are degenerate: with strict=True the
-    first of them (in query order) raises, with strict=False each is refit,
-    in query order, with the bandwidth widened to cover its nearest
-    neighbors.
+    covariate variance is negligible, are degenerate: each is refit, in
+    query order, with the bandwidth widened to cover its nearest neighbors.
 
     Each query's moments s0, s1, s2 (sums of w d^k) and t0, t1 (sums of
     w d^k y) about its block centre c follow from its window sums: with
@@ -209,12 +209,7 @@ def _ll_sorted(queries, xs, ys, h, strict=True, order=None):
     slopes = np.empty(queries.size)
     levels[order], slopes[order] = levels_s, slopes_s
     if np.count_nonzero(bad):
-        widened = np.sort(order[bad])  # back in query order
-        if strict:
-            raise DegenerateFitError(
-                f"degenerate local-linear fit at query x={queries[widened[0]]:.6g} (bandwidth h={h:.6g})"
-            )
-        for j in widened:
+        for j in np.sort(order[bad]):  # back in query order
             q = float(queries[j])
             levels[j], slopes[j] = _ll_point(q, xs, ys, _nn_bandwidth(q, xs, h))
     return levels, slopes
@@ -251,14 +246,13 @@ def _ll_point(q, xs, ys, h, strict=True):
 # Kept public: tests/test_acceptance.py checks the fit through it.
 def local_linear(query, data_x, data_y, h):
     """Local-linear fit at one scalar query point: returns (level, slope
-    vector of shape (1,))."""
+    vector of shape (1,)).  A degenerate query raises DegenerateFitError."""
     if h <= 0:
         raise InputError(f"bandwidth must be positive, got {h}")
     x = np.asarray(data_x, dtype=float)
     order = np.argsort(x, kind="stable")
-    ys = np.asarray(data_y, dtype=float)[order]
-    levels, slopes = _ll_sorted(float(query), x[order], ys, h)
-    return float(levels[0]), np.array([slopes[0]])
+    level, slope = _ll_point(float(query), x[order], np.asarray(data_y, dtype=float)[order], h)
+    return level, np.array([slope])
 
 
 def _quartic_pilot(x):
@@ -272,15 +266,12 @@ def _quartic_pilot(x):
     zero.  Its curvature and residual variance plug into the asymptotically
     optimal local-linear bandwidth with the Epanechnikov constant.  The
     result is floored at 1e-3 of the covariate range and capped at the
-    range.
+    range.  The caller, fit_location_scale, has checked that x holds more
+    than 20 points and has a positive range.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if n < 10:
-        raise InputError(f"need at least 10 points for the plug-in, got {n}")
     span = float(np.ptp(x))
-    if span <= 0:
-        raise InputError("covariate values are all equal")
     # Centered and scaled fit for conditioning; curvature mapped back below.
     mu, sd = x.mean(), x.std()
     z = (x - mu) / sd
@@ -373,7 +364,7 @@ def _evaluator(xs, ys, h):
     def curve(q):
         if np.isscalar(q):
             return _ll_point(float(q), xs, ys, h, strict=False)[0]
-        return _ll_sorted(q, xs, ys, h, strict=False)[0]
+        return _ll_sorted(q, xs, ys, h)[0]
 
     return curve
 
@@ -409,15 +400,15 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     # later m_hat/h_hat query.
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    # Non-strict evaluation: isolated covariates (routine under heavy-tailed
-    # innovations) get a nearest-neighbor bandwidth floor instead of failing.
-    m_at_x, _ = _ll_sorted(x, xs, ys, h1, strict=False, order=order)
+    # Isolated covariates (routine under heavy-tailed innovations) get a
+    # nearest-neighbor bandwidth floor instead of failing.
+    m_at_x, _ = _ll_sorted(x, xs, ys, h1, order=order)
     u = y - m_at_x
     u2 = u * u
     h2 = pilot(u2)
     del pilot  # the design's factors are done with
     u2s = u2[order]
-    h_at_x, _ = _ll_sorted(x, xs, u2s, h2, strict=False, order=order)
+    h_at_x, _ = _ll_sorted(x, xs, u2s, h2, order=order)
 
     floor = H_EPS * float(np.mean(u2))
     positive = h_at_x > floor

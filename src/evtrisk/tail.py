@@ -166,11 +166,6 @@ def _build_sample(residuals_sorted, N, h3, kind) -> TailSample:
     )
 
 
-def extract_tail_smoothed(residuals, N: int, h3: float) -> TailSample:
-    """Exceedances over the smoothed a_N-quantile at CDF bandwidth h3."""
-    return _build_sample(np.sort(np.asarray(residuals, dtype=float)), N, h3, "smoothed")
-
-
 def extract_tail_empirical(residuals, N: int) -> TailSample:
     """Exceedances over the empirical a_N-quantile (comparator construction)."""
     return _build_sample(np.sort(np.asarray(residuals, dtype=float)), N, None, "empirical")

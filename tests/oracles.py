@@ -18,8 +18,11 @@ so that each compares one replaced step and not its inputs:
   (checked against ``smoothed_cdf_oracle``);
 - ``gpd_mle_newton_oracle`` starts from ``gpd.moment_stats`` and steps by
   its own ``_ascent_direction`` over ``loglik_grad_hess_oracle``;
-- ``simulate_oracle`` draws with ``mc._rng`` and ``mc._t_std_factor`` and
-  steps with ``mc._variance_at`` (checked against ``variance_fn``).
+- ``simulate_oracle`` draws with ``mc._rng`` and ``mc._t_std_factor``.
+
+``smoothed_sample`` is a fixture builder, not an oracle: the package's
+threshold rule (``tail._build_sample``) applied to given residuals at a
+given bandwidth.
 """
 
 import csv
@@ -51,7 +54,7 @@ from evtrisk.gpd import (
 )
 from evtrisk.ingest import PriceSeries, ReturnSeries, _parse_date, _read_rows
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
-from evtrisk.tail import QUANTILE_TOL, _cdf_sorted, empirical_quantile
+from evtrisk.tail import QUANTILE_TOL, _build_sample, _cdf_sorted, empirical_quantile
 
 
 def gpd_loglik_grid(z, sigma_grid, k_grid):
@@ -680,6 +683,13 @@ def load_returns_oracle(path, value_col="return"):
     return ReturnSeries(np.array(values), kind="raw")
 
 
+def smoothed_sample(residuals, N, h3):
+    """Exceedances over the smoothed a_N-quantile of the residuals, in any
+    order, at a given CDF bandwidth h3: the tail sample the package builds
+    from a fit's residuals, without the fit."""
+    return _build_sample(np.sort(np.asarray(residuals, dtype=float)), N, h3, "smoothed")
+
+
 def smoothed_quantile_windowed(a, residuals, h3):
     """The bisection that `tail.smoothed_quantile` replaced, with one
     windowed `_cdf_sorted` evaluation at every midpoint."""
@@ -788,9 +798,20 @@ def gpd_mle_newton_oracle(tail):
     return GpdParams(math.exp(theta[0]), float(theta[1])), ll
 
 
+def _variance_at(y, variant):
+    """The variance function h1 or h2 at one float: `variance_fn`'s
+    formulas, with math.sin, which gives np.sin's values, and np.exp,
+    because math.exp differs from it in the last bit for about 5% of
+    arguments."""
+    if variant == "h1":
+        return 1.0 + 0.01 * y * y + 0.5 * math.sin(y)
+    return 1.0 - 0.9 * float(np.exp(-2.0 * y * y))
+
+
 def simulate_oracle(design, rep=0):
     """The loop `mc._simulate` replaced: one `_variance_at` call and one
-    floor test per step.  Returns (y, eps, h, h_next) of the kept window."""
+    floor test per step, and once more for the variance one step past the
+    path.  Returns (y, eps, h, h_next) of the kept window."""
     from scipy import special
 
     u = mc._rng(design.seed, rep).random(mc.BURN_IN + design.n)
@@ -798,13 +819,13 @@ def simulate_oracle(design, rep=0):
     y, h = [], []
     y_prev, h_prev = 0.0, 0.0
     for e in eps.tolist():
-        h_t = mc._variance_at(y_prev, design.variant) + design.theta * h_prev
+        h_t = _variance_at(y_prev, design.variant) + design.theta * h_prev
         if design.variant == "h2":
             h_t = max(h_t, mc.H2_FLOOR)
         y_prev, h_prev = math.sin(0.5 * y_prev) + math.sqrt(h_t) * e, h_t
         y.append(y_prev)
         h.append(h_t)
-    h_next = mc._variance_at(y_prev, design.variant) + design.theta * h_prev
+    h_next = _variance_at(y_prev, design.variant) + design.theta * h_prev
     if design.variant == "h2":
         h_next = max(h_next, mc.H2_FLOOR)
     return (np.array(y[mc.BURN_IN:]), eps[mc.BURN_IN:], np.array(h[mc.BURN_IN:]), h_next)

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -261,9 +262,8 @@ def test_mc_unknown_design(tmp_path):
     assert code == 1
 
 
-def test_backtest_cli_smoke_and_determinism(tmp_path):
-    rng = np.random.default_rng(2024)
-    values = rng.standard_t(6, size=420) / math.sqrt(6 / 4)
+def _backtest_at_both_thread_counts(tmp_path, values, flags):
+    """The report and forecast bytes of one backtest at --threads 1 and 2."""
     data = tmp_path / "synthetic.csv"
     data.write_text("return\n" + "\n".join(repr(float(v)) for v in values), encoding="utf-8")
     reports, forecasts = [], []
@@ -271,14 +271,21 @@ def test_backtest_cli_smoke_and_determinism(tmp_path):
         out = tmp_path / f"report_{tag}.json"
         dump = tmp_path / f"fc_{tag}.csv"
         code = main([
-            "backtest", "--returns", str(data), "--m", "420", "--n", "320",
-            "--a", "0.95", "--seed", "5", "--B-boot", "499",
+            "backtest", "--returns", str(data), *flags,
             "--threads", str(threads), "--out", str(out),
             "--dump-forecasts", str(dump), "--no-timestamp",
         ])
         assert code == 0
         reports.append(out.read_bytes())
         forecasts.append(dump.read_bytes())
+    return reports, forecasts
+
+
+def test_backtest_cli_smoke_and_determinism(tmp_path):
+    rng = np.random.default_rng(2024)
+    values = rng.standard_t(6, size=420) / math.sqrt(6 / 4)
+    reports, forecasts = _backtest_at_both_thread_counts(
+        tmp_path, values, ["--m", "420", "--n", "320", "--a", "0.95", "--seed", "5", "--B-boot", "499"])
     assert reports[0] == reports[1]
     assert forecasts[0] == forecasts[1]
     report = json.loads(reports[0].decode())
@@ -290,6 +297,30 @@ def test_backtest_cli_smoke_and_determinism(tmp_path):
     lines = forecasts[0].decode().splitlines()
     assert lines[0] == "date,return,cvar,ces"
     assert len(lines) == 101
+    # Uniform returns put the GPD shape at its boundary in most windows (92
+    # of 150 measured).  The warnings each window raises reach the report
+    # at any thread count, also from pool workers.
+    uniform = np.random.default_rng(0).uniform(-0.01, 0.01, 700)
+    reports, forecasts = _backtest_at_both_thread_counts(
+        tmp_path, uniform, ["--m", "650", "--n", "500", "--a", "0.99", "--B-boot", "99"])
+    assert reports[0] == reports[1]
+    assert forecasts[0] == forecasts[1]
+    caught = json.loads(reports[0].decode())["warnings"]
+    assert len(caught) > 75 and all("search boundary" in w for w in caught)
+
+
+def test_mc_warnings_do_not_depend_on_threads(tmp_path):
+    # Each replication's warnings reach the caller in replication order,
+    # also from pool workers.
+    recorded = []
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["mc", "--design", "table4", "--reps", "40", "--threads", str(threads),
+                         "--out", str(tmp_path / f"r{threads}.csv")])
+        assert code == 0
+        recorded.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    assert recorded[0] == recorded[1] and recorded[0]
 
 
 @pytest.mark.parametrize("flags, fields", [

@@ -18,6 +18,7 @@ from oracles import (
     h_inv_numeric,
     loglik_grad_hess_oracle,
     rho_oracle,
+    smoothed_sample,
 )
 from evtrisk import gpd
 from evtrisk.errors import (
@@ -46,7 +47,7 @@ from evtrisk.gpd import (
     rho_hat,
 )
 from evtrisk.smoothing import rot_bandwidth_density
-from evtrisk.tail import TailSample, extract_tail_empirical, extract_tail_smoothed
+from evtrisk.tail import TailSample, extract_tail_empirical
 
 
 def make_sample(exceedances, q_tilde=1.0, n=None, N=None):
@@ -237,14 +238,9 @@ def _mle_outcome(mle, tail):
     return result, any("boundary" in str(w.message) for w in caught)
 
 
-def test_mle_takes_the_newton_oracles_steps_bitwise():
-    # No longer bitwise: the profile solver against the damped 2-D Newton
-    # it replaced, over heavy, bounded (shape at the boundary), tick-rounded
-    # and rescaled residuals, smoothed and empirical thresholds.  Where the
-    # oracle converges inside the domain, the likelihood is at least the
-    # oracle's; every boundary warning comes with |k| > K_DOMAIN - 0.02; a
-    # fit without one has a vanishing gradient; there are no more
-    # ConvergenceErrors than the oracle's.
+def _mixed_tails():
+    """150 tails of heavy, bounded (shape at the boundary), tick-rounded and
+    rescaled residuals over smoothed and empirical thresholds."""
     rng = np.random.default_rng(21)
     samples = [make_sample(np.random.default_rng(3).random(500))]  # the boundary case above
     while len(samples) < 150:
@@ -255,11 +251,21 @@ def test_mle_takes_the_newton_oracles_steps_bitwise():
         N = int(rng.integers(6, n // 4))
         try:
             samples.append(extract_tail_empirical(res, N) if len(samples) % 2
-                           else extract_tail_smoothed(res, N, 0.3))
+                           else smoothed_sample(res, N, 0.3))
         except EvtriskError:
             continue
+    return samples
+
+
+def test_mle_takes_the_newton_oracles_steps_bitwise():
+    # No longer bitwise: the profile solver against the damped 2-D Newton
+    # it replaced, on _mixed_tails.  Where the oracle converges inside the
+    # domain, the likelihood is at least the oracle's; every boundary
+    # warning comes with |k| > K_DOMAIN - 0.02; a fit without one has a
+    # vanishing gradient; there are no more ConvergenceErrors than the
+    # oracle's.
     warned = failed = oracle_failed = 0
-    for sample in samples:
+    for sample in _mixed_tails():
         got, got_warned = _mle_outcome(gpd_mle, sample)
         want, want_warned = _mle_outcome(gpd_mle_newton_oracle, sample)
         failed += got == ConvergenceError.__name__
@@ -301,7 +307,7 @@ def _smoothed_t_tails(count):
     while len(tails) < count:
         res = rng.standard_t(int(rng.integers(3, 7)), 1000)
         try:
-            tails.append(extract_tail_smoothed(res, int(rng.integers(60, 251)),
+            tails.append(smoothed_sample(res, int(rng.integers(60, 251)),
                                                rot_bandwidth_density(res)))
         except EvtriskError:
             continue
@@ -328,6 +334,32 @@ def test_mle_profile_evaluations_per_fit(monkeypatch):
         gpd_mle(sample)
         counts.append(len(calls))
     assert sum(counts) <= 1545 and max(counts) <= 13
+
+
+def test_mle_stops_a_boundary_fit_in_the_warning_band(monkeypatch):
+    # A fit whose likelihood rises to the shape boundary stops at its first
+    # iterate with |k| > K_DOMAIN - 0.02 whose score points outward: the 53
+    # boundary fits of _mixed_tails took 393 evaluations, 7.4 per fit and
+    # at most 13 (measured; closing the bracket down to adjacent floats
+    # took 52.0 per fit and at most 54).  The slack is that of
+    # test_mle_profile_evaluations_per_fit.
+    calls = []
+    profile = gpd._profile
+
+    def counted(z, theta):
+        calls.append(theta)
+        return profile(z, theta)
+
+    monkeypatch.setattr(gpd, "_profile", counted)
+    counts = []
+    for sample in _mixed_tails():
+        calls.clear()
+        got, warned = _mle_outcome(gpd_mle, sample)
+        if warned:
+            assert abs(got[1]) > K_DOMAIN - 0.02
+            counts.append(len(calls))
+    assert len(counts) > 45
+    assert sum(counts) <= 396 and max(counts) <= 14
 
 
 def _pwm_gap(z):
@@ -486,7 +518,7 @@ def test_rho_matches_oracle_bitwise(kind):
     rng = np.random.default_rng(41)
     res = rng.standard_t(4, size=1500) / math.sqrt(2.0)
     if kind == "smoothed":
-        sample = extract_tail_smoothed(res, 150, h3=0.3)
+        sample = smoothed_sample(res, 150, h3=0.3)
     else:
         sample = extract_tail_empirical(res, 150)
     with warnings.catch_warnings():

@@ -215,13 +215,6 @@ def test_fit_bandwidths_equal_the_plug_in_oracle():
         assert fit.h2 == pytest.approx(rot_oracle(fit.x, u2), rel=1e-12)
 
 
-def test_rot_regression_preconditions():
-    with pytest.raises(InputError):
-        _quartic_pilot(np.arange(5.0))
-    with pytest.raises(InputError):
-        _quartic_pilot(np.ones(20))
-
-
 def test_rot_kernel_constant():
     assert ROT_KERNEL_CONST == pytest.approx(15.0**0.2)
 
@@ -306,8 +299,10 @@ def test_fit_location_scale_zero_where_h_nonpositive():
 
 
 def test_fit_location_scale_too_short():
-    with pytest.raises(InputError):
-        fit_location_scale(ReturnSeries(np.arange(10.0), kind="raw"))
+    # 21 values leave 20 lagged pairs, too few for the quartic pilot.
+    for size in (10, 21):
+        with pytest.raises(InputError, match=f"series too short for bandwidth plug-in: {size} points"):
+            fit_location_scale(ReturnSeries(np.arange(float(size)), kind="raw"))
 
 
 def test_fit_location_scale_effective_sample():
@@ -350,15 +345,20 @@ def _load_gen():
     return module
 
 
-def windowed_fit(queries, x, y, h, strict):
+def windowed_fit(queries, x, y, h):
     """The windowed fit as fit_location_scale runs it: on the design sorted
     once by covariate."""
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, kind="stable")
-    return smoothing._ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h, strict)
+    return smoothing._ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h)
 
 
-def _run(module, fit, queries, x, y, h, strict):
+def dense_fit(queries, x, y, h):
+    """The dense oracle, widening degenerate queries as the windowed fit does."""
+    return oracles.local_linear_dense(queries, x, y, h, strict=False)
+
+
+def _run(module, fit, queries, x, y, h):
     """(levels, slopes) or the DegenerateFitError message, plus the queries
     whose bandwidth was widened, in the order they were widened; `module`
     holds the _nn_bandwidth that `fit` calls."""
@@ -372,13 +372,13 @@ def _run(module, fit, queries, x, y, h, strict):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_nn_bandwidth", recording)
         try:
-            result = fit(queries, x, y, h, strict=strict)
+            result = fit(queries, x, y, h)
         except DegenerateFitError as exc:
             result = str(exc)
     return result, widened
 
 
-def assert_matches_dense(queries, x, y, h, strict=False, tol=1e-10):
+def assert_matches_dense(queries, x, y, h, tol=1e-10):
     """The windowed fit agrees with the dense oracle: levels within
     tol * max|y| and slopes within tol * max|y| / h, or tol * max|dense| where
     that is larger; the same widened queries and the same errors.
@@ -387,8 +387,8 @@ def assert_matches_dense(queries, x, y, h, strict=False, tol=1e-10):
     max|dense| alone is itself rounding noise.  A level extrapolated far
     outside the data can exceed max|y|, and then rounds at its own size.
     """
-    fast, fast_widened = _run(smoothing, windowed_fit, queries, x, y, h, strict)
-    dense, dense_widened = _run(oracles, oracles.local_linear_dense, queries, x, y, h, strict)
+    fast, fast_widened = _run(smoothing, windowed_fit, queries, x, y, h)
+    dense, dense_widened = _run(oracles, dense_fit, queries, x, y, h)
     np.testing.assert_array_equal(fast_widened, dense_widened)
     if isinstance(dense, str):
         assert fast == dense
@@ -411,7 +411,7 @@ def assert_stage_one_matches_dense(values):
     u2 = (y - m_dense) ** 2
     h2 = pilot(u2)
     h_dense, _ = assert_matches_dense(x, x, u2, h2)
-    h_fast, _ = windowed_fit(x, x, u2, h2, strict=False)
+    h_fast, _ = windowed_fit(x, x, u2, h2)
     positive = h_dense > 0
     np.testing.assert_allclose(h_fast[positive], h_dense[positive], rtol=1e-9, atol=0.0)
 
@@ -436,15 +436,15 @@ def test_windowed_fit_matches_dense_with_heavy_ties():
     assert np.mean(returns == 0.0) > 0.3
     assert_stage_one_matches_dense(returns)
     # The window of x=0.49 holds only tied zeros, near its edge, while its
-    # block is centred on the points above 1: degenerate, as in the dense fit,
-    # though the power sums leave rounding noise above the variance floor.
+    # block is centred on the points above 1: degenerate, and widened, as in
+    # the dense fit, though the power sums leave rounding noise above the
+    # variance floor.
     x = np.concatenate([np.zeros(4000), rng.uniform(1.0, 1.5, size=4000)])
     y = rng.normal(size=x.size)
-    queries = np.array([0.49, 0.75, 0.95])
-    assert assert_matches_dense(queries, x, y, 0.5, strict=True) == (
+    assert_matches_dense(np.array([0.49, 0.75, 0.95]), x, y, 0.5)
+    assert _assert_point_matches_dense(0.49, x, y, 0.5, strict=True) == (
         "degenerate local-linear fit at query x=0.49 (bandwidth h=0.5)"
     )
-    assert_matches_dense(queries, x, y, 0.5)
 
 
 def test_windowed_fit_point_exactly_at_bandwidth():
@@ -452,7 +452,7 @@ def test_windowed_fit_point_exactly_at_bandwidth():
     # so the window holds one point and every query is widened.
     x = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     y = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-    message = assert_matches_dense(1.0, x, y, 0.5, strict=True)
+    message = _assert_point_matches_dense(1.0, x, y, 0.5, strict=True)
     assert message == "degenerate local-linear fit at query x=1 (bandwidth h=0.5)"
     assert_matches_dense(x, x, y, 0.5)
     # On a decimal grid (x - q)/h lands one ulp on either side of 1.
@@ -518,7 +518,7 @@ def test_windowed_fit_queries_outside_data():
     x = rng.uniform(-1.0, 1.0, size=300)
     y = np.sin(3.0 * x) + 0.1 * rng.normal(size=300)
     assert_matches_dense(np.array([-1.3, -1.05, 1.05, 1.3, 0.0, -0.99]), x, y, 0.2)
-    assert assert_matches_dense(np.array([0.0, 5.0]), x, y, 0.2, strict=True) == (
+    assert _assert_point_matches_dense(5.0, x, y, 0.2, strict=True) == (
         "degenerate local-linear fit at query x=5 (bandwidth h=0.2)"
     )
     assert assert_matches_dense(np.array([0.0, np.nan]), x, y, 0.2) == (
@@ -530,7 +530,7 @@ def test_windowed_fit_queries_outside_data():
     # exact rational arithmetic to 2.3e-13 (about the query they lost 1.5e-10).
     far = np.array([-5.0, 5.0])
     assert_matches_dense(far, x, y, 0.2)
-    levels, slopes = windowed_fit(far, x, y, 0.2, strict=False)
+    levels, slopes = windowed_fit(far, x, y, 0.2)
     for q, level, slope in zip(far, levels, slopes):
         exact = oracles.local_linear_exact(q, x, y, oracles._nn_bandwidth(q, x, 0.2))
         np.testing.assert_allclose([level, slope], exact, rtol=1e-12)
@@ -562,7 +562,8 @@ def test_windowed_fit_matches_dense_property(grid, rand, k, scale, shift):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert_matches_dense(queries, x, y, h)
-        assert_matches_dense(queries, x, y, h, strict=True)
+        for q in queries:
+            _assert_point_matches_dense(q, x, y, h, strict=True)
 
 
 def _nn_or_message(nn, q, x, h):
@@ -619,10 +620,10 @@ def test_ll_sorted_query_order_and_scalar_queries():
     perm = rng.permutation(fit.x.size)
 
     def fit_sorted(given):
-        return lambda q, x, y, h, strict: smoothing._ll_sorted(q, xs, ys, h, strict, given)
+        return lambda q, x, y, h: smoothing._ll_sorted(q, xs, ys, h, given)
 
-    (levels, slopes), widened = _run(smoothing, fit_sorted(order), fit.x, None, None, fit.h1, False)
-    shuffled, shuffled_widened = _run(smoothing, fit_sorted(None), fit.x[perm], None, None, fit.h1, False)
+    (levels, slopes), widened = _run(smoothing, fit_sorted(order), fit.x, None, None, fit.h1)
+    shuffled, shuffled_widened = _run(smoothing, fit_sorted(None), fit.x[perm], None, None, fit.h1)
     assert widened  # heavy tails leave isolated covariates to widen
     assert sorted(shuffled_widened) == sorted(widened)
     assert shuffled[0].tobytes() == levels[perm].tobytes()

@@ -11,7 +11,7 @@ import numpy as np
 
 import evtrisk
 import evtrisk.cli  # noqa: F401  (a traced module the package does not import)
-from evtrisk.tail import extract_tail_smoothed
+from oracles import smoothed_sample
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,7 +42,7 @@ def test_tracer_installs_and_restores():
         for module, attr, _ in spans.TARGETS
     }
     rng = np.random.default_rng(8)
-    sample = extract_tail_smoothed(rng.standard_t(5, size=400), 40, h3=0.3)
+    sample = smoothed_sample(rng.standard_t(5, size=400), 40, h3=0.3)
     tracer = spans.Tracer()
     with tracer.installed(evtrisk):
         for (module, attr), original in originals.items():

@@ -1,7 +1,7 @@
 """The package surface: every name `evtrisk` exports, and every top-level
-private function of its modules, is read somewhere outside its own
-definition, in the package, the experiment scripts or the acceptance suite;
-a private function may instead be a layer boundary the benchmark's tracer
+function of its modules, public or private, is read somewhere outside its
+own definition, in the package, the experiment scripts or the acceptance
+suite; a function may instead be a layer boundary the benchmark's tracer
 patches (perfbench/spans.py TARGETS).  A helper only unit tests call
 belongs in tests/oracles.py.  Every parameter with a default is passed by
 some call there or in the benchmark; one no caller sets is a constant.
@@ -43,12 +43,12 @@ def names_read(path):
     return found
 
 
-def private_functions():
+def top_level_functions(private):
     return sorted(
         (path.stem, node.name)
         for path in PACKAGE.glob("*.py")
         for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") == private
     )
 
 
@@ -121,15 +121,22 @@ def test_every_export_has_a_caller():
     assert [name for name in exported_names() if name not in read] == []
 
 
-def test_every_private_function_has_a_caller():
+def uncalled_functions(private):
     read = names_read_anywhere()
     traced = traced_targets()
-    unread = [
+    return [
         f"{module}.{name}"
-        for module, name in private_functions()
+        for module, name in top_level_functions(private)
         if name not in read and (module, name) not in traced
     ]
-    assert unread == []
+
+
+def test_every_private_function_has_a_caller():
+    assert uncalled_functions(private=True) == []
+
+
+def test_every_public_function_has_a_caller():
+    assert uncalled_functions(private=False) == []
 
 
 def test_every_default_parameter_is_passed():

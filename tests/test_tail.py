@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import smoothed_cdf_oracle, smoothed_quantile_oracle, smoothed_quantile_windowed
+from oracles import (
+    smoothed_cdf_oracle,
+    smoothed_quantile_oracle,
+    smoothed_quantile_windowed,
+    smoothed_sample,
+)
 from evtrisk import tail
 from evtrisk.errors import InputError, TailError
 from evtrisk.gpd import RHO_C
@@ -16,7 +21,6 @@ from evtrisk.tail import (
     empirical_quantile,
     extract_tail,
     extract_tail_empirical,
-    extract_tail_smoothed,
     smoothed_cdf,
     smoothed_quantile,
 )
@@ -283,7 +287,7 @@ def test_smoothed_cdf_matches_oracle_and_is_monotone(residuals, h3, u, v):
 
 def test_extract_tail_ramp_fixture():
     res = np.arange(1.0, 101.0)
-    sample = extract_tail_smoothed(res, N=10, h3=1.0)
+    sample = smoothed_sample(res, N=10, h3=1.0)
     assert sample.q_tilde == pytest.approx(90.0, abs=1.5)
     assert 7 <= sample.N_s <= 13
     assert np.all(sample.exceedances > 0)
@@ -294,15 +298,15 @@ def test_extract_tail_ramp_fixture():
 def test_extract_tail_shift_equivariance():
     rng = np.random.default_rng(12)
     res = rng.standard_normal(500)
-    s0 = extract_tail_smoothed(res, N=50, h3=0.3)
-    s1 = extract_tail_smoothed(res + 5.0, N=50, h3=0.3)
+    s0 = smoothed_sample(res, N=50, h3=0.3)
+    s1 = smoothed_sample(res + 5.0, N=50, h3=0.3)
     assert s1.q_tilde == pytest.approx(s0.q_tilde + 5.0, abs=1e-7)
     np.testing.assert_allclose(s1.exceedances, s0.exceedances, atol=1e-7)
 
 
 def test_extract_tail_degenerate_sample():
     with pytest.raises(TailError):
-        extract_tail_smoothed(np.zeros(100), N=10, h3=0.5)
+        smoothed_sample(np.zeros(100), N=10, h3=0.5)
 
 
 def test_extract_tail_rejects_a_threshold_on_a_flat_stretch():
@@ -312,15 +316,15 @@ def test_extract_tail_rejects_a_threshold_on_a_flat_stretch():
     # overlap and the threshold is unique.
     res = np.concatenate((np.linspace(-3.0, 0.0, 90), np.linspace(5.0, 8.0, 10)))
     with pytest.raises(TailError, match="not unique"):
-        extract_tail_smoothed(res, N=10, h3=0.5)
-    sample = extract_tail_smoothed(res, N=10, h3=2.6)
+        smoothed_sample(res, N=10, h3=0.5)
+    sample = smoothed_sample(res, N=10, h3=2.6)
     assert 0.0 < sample.q_tilde < 5.0 and sample.N_s == 10
 
 
 def test_extract_tail_counts_match():
     rng = np.random.default_rng(13)
     res = rng.standard_t(6, size=1500)
-    sample = extract_tail_smoothed(res, N=150, h3=0.2)
+    sample = smoothed_sample(res, N=150, h3=0.2)
     assert sample.N_s == np.sum(res > sample.q_tilde)
     assert sample.exceedances.size == sample.N_s
     assert sample.a_N == pytest.approx(1 - 150 / 1500)
@@ -331,7 +335,7 @@ def test_ns_over_n_containment_iid():
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         res = rng.standard_normal(2000)
-        sample = extract_tail_smoothed(res, N=choose_N(2000), h3=0.15)
+        sample = smoothed_sample(res, N=choose_N(2000), h3=0.15)
         assert 0.5 <= sample.N_s / sample.N <= 2.0
 
 
@@ -362,7 +366,7 @@ def test_tail_samples_sort_once_and_keep_every_bit(monkeypatch):
     monkeypatch.undo()
     assert len(sorts) == 1
     for sample, N in ((got, 100), (wide, 250)):
-        want = extract_tail_smoothed(rng.permutation(res), N, h3)
+        want = smoothed_sample(rng.permutation(res), N, h3)
         for name in ("q_tilde", "N_s", "h3", "a_N"):
             assert getattr(sample, name) == getattr(want, name), name
         np.testing.assert_array_equal(sample.exceedances, want.exceedances)
