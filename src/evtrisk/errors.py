@@ -56,6 +56,7 @@ def run_jobs(fn, jobs, threads: int, chunksize: int) -> list:
     else:
         done = [call(job) for job in jobs]
     registry = {}  # a "default" filter shows a repeated warning once per call
-    for w in (w for _, caught in done for w in caught):
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
+    for _, caught in done:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
     return [result for result, _ in done]
