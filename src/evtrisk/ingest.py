@@ -10,15 +10,18 @@ zero-padded `YYYY-MM-DD`, which both read as the same midnight.  The other
 two formats need a `/` in the first five characters, where `fromisoformat`
 never accepts one.
 
-A file is read column by column.  `csv.reader` takes `_SLICE_ROWS` records
-at a time, so the row table of the whole file is never held.  Each requested
-column of a slice is converted in bulk: `map(float, ...)`, and one `map` of
-`datetime.fromisoformat` where every date of the slice is ISO (else
+A file is read once, column by column.  `csv.reader` takes `_SLICE_ROWS`
+records at a time, so the row table of the whole file is never held.  Each
+requested column of a slice is converted in bulk: `map(float, ...)`, and one
+`map` of `datetime.fromisoformat` where every date of the slice is ISO (else
 `_parse_date` per date).  Prices are checked finite and positive with numpy,
 and dates pairwise, the last of the slice before included, for one
-UTC-offset kind and a strict increase.  Only when a slice fails a check, or
-the text cannot be read, is the file read again row by row from its start to
-name the fault.
+UTC-offset kind and a strict increase.  Only when a slice fails a check are
+its rows checked one by one to name the fault, inside the slice: its row is
+the count of rows before the slice plus its place in it.  When the text
+cannot be read, the records of the slice read before that point are checked
+first; a CSV-syntax fault's line is the slice's first line plus the lines
+those records span.
 
 The first fault in file order is reported.  Within one row the checks run
 in this order: blank, unparseable, non-finite or non-positive, date, offset
@@ -36,7 +39,7 @@ import operator
 from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -101,88 +104,74 @@ class ReturnSeries:
         return int(self.values.size)
 
 
-def _read_rows(path, columns):
-    """Yield (data_row_number, [text of each requested column]).
+def _unreadable(path, exc, line: int) -> InputError:
+    """The error for text that cannot be read; `line` is where its record starts."""
+    if isinstance(exc, UnicodeDecodeError):
+        return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+    return InputError(f"{path}: malformed CSV record from line {line} ({exc}); check its quotes")
+
+
+def _lines(records) -> int:
+    """Lines the records span: one each, plus the line breaks inside their fields."""
+    return sum(1 + sum(f.count("\r") + f.count("\n") - f.count("\r\n") for f in fields)
+               for fields in records)
+
+
+def _column_slices(path, columns):
+    """Yield, for each slice of up to `_SLICE_ROWS` records, the number of
+    non-blank records before it and a list of the stripped text of each
+    requested column of its non-blank records.
 
     Reads as `csv.DictReader` would: blank lines are skipped and not
-    counted, a short row reads as blank, and a repeated header name means
-    its last column.  Text that is not UTF-8, and a quote left open or
-    followed by more text in its field, raise `InputError`; a lenient
-    reader would run an open quote on to the end of the file.
+    counted, a short record reads as blank, and a repeated header name means
+    its last column.  A UTF-8 byte-order mark is dropped.  Text that is not
+    UTF-8, and a quote left open or followed by more text in its field,
+    raise `InputError` after the slice of the records read before them; a
+    lenient reader would run an open quote on to the end of the file.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: cannot open ({exc.strerror})") from None
     with fh:
         reader = csv.reader(fh, strict=True)
-        done = 0
         try:
             header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}: empty file (header row required)")
-            index = {name: i for i, name in enumerate(header)}
-            for col in columns:
-                if col not in index:
-                    raise InputError(f"{path}: missing column {col!r} (header: {header})")
-            picks = [index[col] for col in columns]
-            row = 0
-            done = reader.line_num
-            for fields in reader:
-                done = reader.line_num
-                if not fields:
-                    continue
-                row += 1
-                yield row, [fields[i].strip() if i < len(fields) else "" for i in picks]
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise InputError(
-                f"{path}: malformed CSV record from line {done + 1} ({exc}); check its quotes"
-            ) from None
-
-
-class _Fault(Exception):
-    """The column-wise reading met a fault; the row scan names it."""
-
-
-def _column_slices(path, columns):
-    """Yield, for each slice of up to `_SLICE_ROWS` non-blank records, one
-    list of the stripped text of each requested column.
-
-    Raises `_Fault` wherever `_read_rows` raises, and at a record too short
-    to hold every requested column, whose blank field no loader accepts.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, strict=True)
-            index = {name: i for i, name in enumerate(next(reader, ()))}
-            if not all(col in index for col in columns):
-                raise _Fault
-            picks = [operator.itemgetter(index[col]) for col in columns]
-            while records := list(islice(reader, _SLICE_ROWS)):
-                records = list(filter(None, records))
-                yield [list(map(str.strip, map(pick, records))) for pick in picks]
-    except (OSError, UnicodeDecodeError, csv.Error, IndexError):
-        raise _Fault from None
-
-
-def _floats(texts) -> np.ndarray:
-    try:
-        return np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        raise _Fault from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _unreadable(path, exc, 1) from None
+        if header is None:
+            raise InputError(f"{path}: empty file (header row required)")
+        index = {name: i for i, name in enumerate(header)}
+        for col in columns:
+            if col not in index:
+                raise InputError(f"{path}: missing column {col!r} (header: {header})")
+        picks = [index[col] for col in columns]
+        getters = list(map(operator.itemgetter, picks))
+        before, fault = 0, None
+        while fault is None:
+            start, records = reader.line_num, []
+            try:
+                records.extend(islice(reader, _SLICE_ROWS))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                fault = _unreadable(path, exc, start + _lines(records) + 1)
+            if not (records or fault):
+                return
+            records = list(filter(None, records))
+            try:
+                texts = [list(map(str.strip, map(get, records))) for get in getters]
+            except IndexError:
+                texts = [[r[i].strip() if i < len(r) else "" for r in records] for i in picks]
+            yield before, texts
+            before += len(records)
+        raise fault
 
 
 def _datetimes(texts) -> list[datetime]:
+    """The dates of a slice; `_parse_date`'s `InputError` if one is no date."""
     try:
         return list(map(datetime.fromisoformat, texts))
     except ValueError:
-        pass
-    try:
         return [_parse_date(text, 0) for text in texts]
-    except InputError:          # the row scan names the row
-        raise _Fault from None
 
 
 def _increasing(stamps) -> bool:
@@ -191,30 +180,14 @@ def _increasing(stamps) -> bool:
     return naive in (0, len(stamps)) and all(map(operator.lt, stamps, islice(stamps, 1, None)))
 
 
-def _bulk_prices(path, date_col: str, price_col: str) -> PriceSeries:
-    timestamps: list[str] = []
-    prices: list[np.ndarray] = []
-    previous: list[datetime] = []
-    with closing(_column_slices(path, (date_col, price_col))) as slices:
-        for dates, texts in slices:
-            values = _floats(texts)
-            stamps = previous + _datetimes(dates)
-            if not (np.all((values > 0) & (values < math.inf)) and _increasing(stamps)):
-                raise _Fault
-            timestamps += dates
-            prices.append(values)
-            previous = stamps[-1:]
-    if len(timestamps) < 2:
-        raise _Fault
-    return PriceSeries(tuple(timestamps), np.concatenate(prices))
+def _price_fault(before: int, dates, texts, previous) -> None:
+    """Raise the first fault of a price slice that failed its checks.
 
-
-def _scan_prices(path, date_col: str, price_col: str) -> PriceSeries:
-    """`load_prices` row by row: raises at the first fault in file order."""
-    timestamps: list[str] = []
-    prices: list[float] = []
-    previous: datetime | None = None
-    for row, (date_text, raw_price) in _read_rows(path, (date_col, price_col)):
+    Its rows are numbered on from `before`; `previous` holds the last date
+    of the slice before, if there is one.
+    """
+    previous = previous[0] if previous else None
+    for row, date_text, raw_price in zip(count(before + 1), dates, texts):
         if not raw_price:
             raise InputError(f"row {row}: blank price")
         try:
@@ -232,11 +205,6 @@ def _scan_prices(path, date_col: str, price_col: str) -> PriceSeries:
             if stamp <= previous:
                 raise InputError(f"row {row}: timestamps not increasing")
         previous = stamp
-        timestamps.append(date_text)
-        prices.append(price)
-    if len(prices) < 2:
-        raise InputError(f"{path}: need at least 2 price rows, got {len(prices)}")
-    return PriceSeries(tuple(timestamps), np.array(prices))
 
 
 def load_prices(path, date_col: str = "date", price_col: str = "price") -> PriceSeries:
@@ -246,30 +214,30 @@ def load_prices(path, date_col: str = "date", price_col: str = "price") -> Price
     skipped: silently dropping rows would corrupt the lagged conditioning
     downstream.
     """
-    try:
-        return _bulk_prices(path, date_col, price_col)
-    except _Fault:
-        pass
-    return _scan_prices(path, date_col, price_col)
+    timestamps: list[str] = []
+    prices: list[np.ndarray] = []
+    previous: list[datetime] = []
+    with closing(_column_slices(path, (date_col, price_col))) as slices:
+        for before, (dates, texts) in slices:
+            try:
+                values = np.fromiter(map(float, texts), float, len(texts))
+                stamps = previous + _datetimes(dates)
+                valid = np.all((values > 0) & (values < math.inf)) and _increasing(stamps)
+            except (ValueError, InputError):
+                valid = False
+            if not valid:
+                _price_fault(before, dates, texts, previous)
+            timestamps += dates
+            prices.append(values)
+            previous = stamps[-1:]
+    if len(timestamps) < 2:
+        raise InputError(f"{path}: need at least 2 price rows, got {len(timestamps)}")
+    return PriceSeries(tuple(timestamps), np.concatenate(prices))
 
 
-def _bulk_returns(path, value_col: str) -> ReturnSeries:
-    chunks: list[np.ndarray] = []
-    with closing(_column_slices(path, (value_col,))) as slices:
-        for (texts,) in slices:
-            values = _floats(texts)
-            if not np.all(np.isfinite(values)):
-                raise _Fault
-            chunks.append(values)
-    if not sum(map(len, chunks)):
-        raise _Fault
-    return ReturnSeries(np.concatenate(chunks), kind="raw")
-
-
-def _scan_returns(path, value_col: str) -> ReturnSeries:
-    """`load_returns` row by row: raises at the first fault in file order."""
-    values: list[float] = []
-    for row, (raw,) in _read_rows(path, (value_col,)):
+def _value_fault(before: int, texts) -> None:
+    """Raise the first fault of a return slice that failed its checks."""
+    for row, raw in zip(count(before + 1), texts):
         if not raw:
             raise InputError(f"row {row}: blank value")
         try:
@@ -278,19 +246,24 @@ def _scan_returns(path, value_col: str) -> ReturnSeries:
             raise InputError(f"row {row}: unparseable value {raw!r}") from None
         if not math.isfinite(value):
             raise InputError(f"row {row}: non-finite value")
-        values.append(value)
-    if not values:
-        raise InputError(f"{path}: no data rows")
-    return ReturnSeries(np.array(values), kind="raw")
 
 
 def load_returns(path, value_col: str = "return") -> ReturnSeries:
     """Load an already-computed return series; sign convention is the caller's."""
-    try:
-        return _bulk_returns(path, value_col)
-    except _Fault:
-        pass
-    return _scan_returns(path, value_col)
+    chunks: list[np.ndarray] = []
+    with closing(_column_slices(path, (value_col,))) as slices:
+        for before, (texts,) in slices:
+            try:
+                values = np.fromiter(map(float, texts), float, len(texts))
+                valid = np.all(np.isfinite(values))
+            except ValueError:
+                valid = False
+            if not valid:
+                _value_fault(before, texts)
+            chunks.append(values)
+    if not sum(map(len, chunks)):
+        raise InputError(f"{path}: no data rows")
+    return ReturnSeries(np.concatenate(chunks), kind="raw")
 
 
 def to_returns(p: PriceSeries) -> ReturnSeries:

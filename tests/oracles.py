@@ -4,11 +4,12 @@ code replaced.
 
 Most oracles use nothing of the package but its error types, its series
 containers and the constants, parameter type and pole check of
-evtrisk.gpd.  Seven build on package pieces that tests check on their own,
+evtrisk.gpd.  Six build on package pieces that tests check on their own,
 so that each compares one replaced step and not its inputs:
-- ``load_prices_oracle`` and ``load_returns_oracle`` read rows with
-  ``ingest._read_rows`` and parse dates with ``ingest._parse_date``
-  (checked against ``read_rows_oracle`` and ``parse_date_oracle``);
+- ``load_prices_oracle`` parses dates with ``ingest._parse_date``
+  (checked against ``parse_date_oracle``); it reads rows, as
+  ``load_returns_oracle`` does, with ``_read_rows`` (checked against
+  ``read_rows_oracle``);
 - ``assembly_oracle`` recombines ``risk.q_eps``, ``risk.q_eps_bc`` and
   ``risk.es_bias_term`` (checked against fixtures, ``q_bc_oracle`` and
   ``b_e_oracle``) with its own interval algebra;
@@ -52,7 +53,7 @@ from evtrisk.gpd import (
     _check_pole,
     moment_stats,
 )
-from evtrisk.ingest import PriceSeries, ReturnSeries, _parse_date, _read_rows
+from evtrisk.ingest import PriceSeries, ReturnSeries, _parse_date
 from evtrisk.risk import es_bias_term, q_eps, q_eps_bc
 from evtrisk.tail import QUANTILE_TOL, _build_sample, _cdf_sorted, empirical_quantile
 
@@ -617,10 +618,10 @@ def parse_date_oracle(text, row):
 
 
 def read_rows_oracle(path, columns):
-    """The csv.DictReader reading that `ingest._read_rows` replaced:
+    """The csv.DictReader reading that `_read_rows` replaced:
     (data_row_number, {col: text}) for the requested columns."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: cannot open ({exc.strerror})") from None
     with fh:
@@ -635,8 +636,50 @@ def read_rows_oracle(path, columns):
             yield i, {col: (record.get(col) or "").strip() for col in columns}
 
 
+def _read_rows(path, columns):
+    """Yield (data_row_number, [text of each requested column]).
+
+    Reads as `csv.DictReader` would: blank lines are skipped and not
+    counted, a short row reads as blank, and a repeated header name means
+    its last column.  A UTF-8 byte-order mark is dropped.  Text that is not
+    UTF-8, and a quote left open or followed by more text in its field,
+    raise `InputError`; a lenient reader would run an open quote on to the
+    end of the file.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot open ({exc.strerror})") from None
+    with fh:
+        reader = csv.reader(fh, strict=True)
+        done = 0
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file (header row required)")
+            index = {name: i for i, name in enumerate(header)}
+            for col in columns:
+                if col not in index:
+                    raise InputError(f"{path}: missing column {col!r} (header: {header})")
+            picks = [index[col] for col in columns]
+            row = 0
+            done = reader.line_num
+            for fields in reader:
+                done = reader.line_num
+                if not fields:
+                    continue
+                row += 1
+                yield row, [fields[i].strip() if i < len(fields) else "" for i in picks]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(
+                f"{path}: malformed CSV record from line {done + 1} ({exc}); check its quotes"
+            ) from None
+
+
 def load_prices_oracle(path, date_col="date", price_col="price"):
-    """The row-by-row price loader that `ingest.load_prices` replaced."""
+    """Load prices row by row, raising at the first fault in file order."""
     timestamps = []
     prices = []
     previous = None
@@ -666,7 +709,7 @@ def load_prices_oracle(path, date_col="date", price_col="price"):
 
 
 def load_returns_oracle(path, value_col="return"):
-    """The row-by-row return loader that `ingest.load_returns` replaced."""
+    """Load returns row by row, raising at the first fault in file order."""
     values = []
     for row, (raw,) in _read_rows(path, (value_col,)):
         if not raw:

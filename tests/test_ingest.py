@@ -8,18 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtrisk import ingest
 from evtrisk.errors import InputError
 from evtrisk.ingest import (
     _SLICE_ROWS,
     PriceSeries,
     ReturnSeries,
     _parse_date,
-    _read_rows,
     load_prices,
     load_returns,
     to_returns,
 )
-from oracles import load_prices_oracle, load_returns_oracle, parse_date_oracle, read_rows_oracle
+from oracles import (
+    _read_rows,
+    load_prices_oracle,
+    load_returns_oracle,
+    parse_date_oracle,
+    read_rows_oracle,
+)
 
 
 def write_csv(tmp_path, text, name="prices.csv"):
@@ -71,6 +77,14 @@ def test_load_prices_unparseable(tmp_path):
     path = write_csv(tmp_path, "date,price\n2020-01-01,abc\n2020-01-02,1\n")
     with pytest.raises(InputError, match="row 1"):
         load_prices(path)
+
+
+def test_load_prices_drops_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"\xef\xbb\xbfdate,price\n2000-01-03,100\n2000-01-04,101\n")
+    series = load_prices(path)
+    assert series.timestamps == ("2000-01-03", "2000-01-04")
+    assert series.prices.tolist() == [100.0, 101.0]
 
 
 def test_load_prices_custom_columns(tmp_path):
@@ -204,6 +218,7 @@ _CSV_CASES = {
     "missing-column": "date,close\n2020-01-01,1\n",
     "header-only": "date,price\n",
     "empty-file": "",
+    "bom": "\ufeffdate,price\n2020-01-01,1\n",
 }
 
 
@@ -280,13 +295,18 @@ def _csv_files(draw, prices, faults, min_rows=0, max_rows=25, fault_from=0):
     values = [str(rnd.randint(1, 999)) if rnd.random() < 0.2
               else repr(10**rnd.uniform(lo, hi) if prices else rnd.uniform(lo, hi))
               for _ in range(n)]
+
+    def filler(text):       # sometimes a line break, so records span lines
+        return text + rnd.choice(["\n", "\r\n", "\r"]) + text if rnd.random() < 0.1 else text
+
     rows = []
     for i in range(n):
-        fields = {name: "x" for name in header}
+        fields = {name: filler("x") for name in header}
         if prices:
             fields["date"] = _DATE_FORMS[form](stamps[i])
         fields[value_col] = values[i]
-        rows.append([fields[name] if last[name] == j else "junk" for j, name in enumerate(header)])
+        rows.append([fields[name] if last[name] == j else filler("junk")
+                     for j, name in enumerate(header)])
 
     kinds = list(_ROW_FAULTS) if prices else ["blank", "unparseable", "non-finite"]
     kinds += _SYNTAX_FAULTS
@@ -311,7 +331,8 @@ def _csv_files(draw, prices, faults, min_rows=0, max_rows=25, fault_from=0):
     lines = []
     for i, fields in enumerate(rows):
         fields = [f" {f} " if rnd.random() < 0.1 else f for f in fields]
-        fields = [_quote(f) if rnd.random() < 0.15 or "," in f else f for f in fields]
+        fields = [_quote(f) if rnd.random() < 0.15 or any(c in f for c in ",\r\n") else f
+                  for f in fields]
         if header[-1] == "volume" and rnd.random() < 0.5:
             fields = fields[:-1]                                    # short, but complete
         for at, kind in placed:
@@ -369,11 +390,11 @@ def test_load_returns_matches_row_oracle(data):
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_loaders_match_row_oracle_past_one_slice(data):
-    """Files longer than one read slice, valid or with one fault, which
-    lies in the last slice."""
+    """Files longer than one read slice: valid, with one or two row faults
+    in the last slice, or with a file fault."""
     prices = data.draw(st.booleans())
     n = data.draw(st.integers(_SLICE_ROWS + 1, _SLICE_ROWS + 200))
-    faults = data.draw(st.sampled_from([0, 1]))
+    faults = data.draw(_FAULTS)
     blob = data.draw(_csv_files(prices, faults, min_rows=n, max_rows=n, fault_from=_SLICE_ROWS))
     load, oracle = ((load_prices, load_prices_oracle) if prices
                     else (load_returns, load_returns_oracle))
@@ -391,3 +412,33 @@ def test_load_prices_checks_dates_across_slices(tmp_path, last, message):
     path = write_csv(tmp_path, "date,price\n" + "\n".join(lines) + "\n")
     with pytest.raises(InputError, match=f"^row {_SLICE_ROWS + 1}: {message}$"):
         load_prices(path)
+
+
+@pytest.mark.parametrize("load, header, bad, message", [
+    (load_prices, "date,price", "0", "non-positive price 0.0"),
+    (load_returns, "return", "nan", "non-finite value"),
+], ids=["prices", "returns"])
+def test_each_load_opens_its_file_once(tmp_path, monkeypatch, load, header, bad, message):
+    """A fault past the first slice is named from the one reading."""
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    day = datetime.date(1990, 1, 1)
+    values = ["1"] * (_SLICE_ROWS + 100)
+
+    def text():
+        dates = [f"{day + datetime.timedelta(days=i)}," if "," in header else ""
+                 for i in range(len(values))]
+        return header + "\n" + "".join(f"{d}{v}\n" for d, v in zip(dates, values))
+
+    path = write_csv(tmp_path, text())
+    load(path)
+    values[_SLICE_ROWS + 50] = bad
+    write_csv(tmp_path, text())
+    with pytest.raises(InputError, match=f"^row {_SLICE_ROWS + 51}: {message}$"):
+        load(path)
+    assert opened == [path, path]
