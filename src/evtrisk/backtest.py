@@ -12,10 +12,9 @@ the gaps between violations, maximised over its shape with the scale
 profiled out, against exponential nulls with a free rate (independence) or
 rate 1 - a (conditional coverage); the first and last gaps are censored.
 
-Only the tests call scipy: `coverage_test` and `duration_tests` import
-`scipy.special` when called.  The forecast windows reach only `risk`, which
-loads no scipy, so the workers of `rolling_forecast`'s pool need none, and
-the parent loads it after the pool has finished.
+The p-values are closed forms in `math`: the normal tail of the coverage
+test is erfc, and the chi-square survival functions with one and two
+degrees of freedom of the duration tests are erfc and exp.
 """
 
 from __future__ import annotations
@@ -148,17 +147,26 @@ def rolling_forecast(
     return RollingForecasts(steps, cvar, ces, sqrt_h, carried, failures)
 
 
+def _two_sided_normal_p(z: float) -> float:
+    """2 P(Z > |z|) for a standard normal Z, erfc(|z| / sqrt 2)."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with df = 1 or 2 degrees of freedom:
+    erfc(sqrt(x / 2)) and exp(-x / 2)."""
+    return math.erfc(math.sqrt(0.5 * x)) if df == 1 else math.exp(-0.5 * x)
+
+
 def coverage_test(violations, a: float):
     """Two-sided normal test of the violation count against (m-n)(1-a)."""
-    from scipy import special
-
     viol = np.asarray(violations, dtype=bool)
     if viol.size == 0:
         raise InputError("empty violation sequence")
     w = int(viol.sum())
     t = viol.size
     z = (w - t * (1.0 - a)) / math.sqrt(t * (1.0 - a) * a)
-    return w, float(2.0 * special.ndtr(-abs(z)))
+    return w, _two_sided_normal_p(z)
 
 
 def _durations(viol: np.ndarray):
@@ -238,8 +246,6 @@ def duration_tests(violations, a: float):
     1/(1-a)).  First and last durations are censored.  Returns (None, None)
     when fewer than two violations make the likelihood unusable.
     """
-    from scipy import special
-
     viol = np.asarray(violations, dtype=bool)
     if int(viol.sum()) < 2:
         return None, None
@@ -259,7 +265,7 @@ def duration_tests(violations, a: float):
             return None, None
         t_ind = max(2.0 * (ll_weib - ll_exp), 0.0)
         t_cc = max(2.0 * (ll_weib - ll_cc), 0.0)
-        return float(special.chdtrc(1, t_ind)), float(special.chdtrc(2, t_cc))
+        return _chi2_sf(1, t_ind), _chi2_sf(2, t_cc)
     except (ValueError, OverflowError, ZeroDivisionError):
         return None, None
 

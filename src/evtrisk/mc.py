@@ -13,11 +13,9 @@ replication scores both estimator arms against the exact conditional
 CVaR/CES at the path's last observation, built from the path's own
 next-step variance.
 
-Only the simulator and the truths call scipy, so `scipy.special` is
-imported inside `_t_pdf`, `_t_risk_std` and `_simulate`, and importing this
-module loads no scipy.  `run_experiment` imports it in the parent before it
-creates its process pool: forked workers then inherit the loaded module
-instead of each importing it again on every command.
+The innovations and the truths take the Student-t quantile from
+`_t_quantile`, in numpy for integer v (see its docstring), so no part of
+the simulation imports scipy.
 """
 
 from __future__ import annotations
@@ -40,6 +38,13 @@ from .tail import choose_N, extract_tail, extract_tail_empirical
 BURN_IN = 1000
 H2_FLOOR = 1e-8
 TRIM_FRACTION = 0.025
+# _t_quantile solves for t in the tail form where p = min(u, 1 - u) is below
+# T_TAIL_P / v: above it the centre form's 1 - A cancels to at most about
+# 1e-14 relative (v <= 30).  A value stops after a step below T_STEP_TOL
+# relative, which Newton's method leaves at about T_STEP_TOL^2.
+T_TAIL_P = 0.05
+T_STEP_TOL = 1e-9
+T_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class McDesign:
             raise InputError("design needs n >= 200")
         if self.reps < 1:
             raise InputError("design needs reps >= 1")
+        if not isinstance(self.v, int):
+            raise InputError(f"design field v must be an integer, got {self.v!r}")
         if self.v <= 2:
             raise InputError("Student-t innovations need v > 2 for unit variance")
         if self.variant not in ("h1", "h2"):
@@ -86,13 +93,84 @@ def _t_std_factor(v: int) -> float:
     return math.sqrt(v / (v - 2.0))
 
 
-def _t_pdf(c, v: int):
-    """Student-t(v) density at c, in the numpy operations scipy.stats.t.pdf
-    uses, so that it gives the same bits without importing scipy.stats."""
-    from scipy import special
+def _t_quantile(v: int, u: np.ndarray) -> np.ndarray:
+    """Student-t(v) quantile at the uniforms u, a 1-d array in [0, 1], for an
+    integer v >= 2; u = 0 gives -inf and u = 1/2 gives 0.
 
-    log_pdf = (np.log(special.poch(0.5 * v, 0.5)) - 0.5 * (np.log(v) + np.log(np.pi))
-               - (v + 1) / 2 * np.log1p(c * c / v))
+    With theta = arctan(t / sqrt v), c = cos theta, s = sin theta and
+    x = c^2, Abramowitz & Stegun 26.7.3-4 give P(|T| < t) as a finite series:
+    A = (2/pi) (theta + s c S(x)) for odd v and A = s S(x) for even v, where
+    S(x) = sum_{j < m} a_j x^j, m = v // 2, a_0 = 1 and
+    a_j = a_{j-1} (2j - 1 + v % 2) / (2j + v % 2).  The terms past S sum to
+    the tail P(T > t) = k s c^v R(x), R(x) = sum_i (a_{m+i} / a_m) x^i, with
+    k = a_m / pi for odd v and a_m / 2 for even v; dA/dtheta = 2 v k c^(v-1).
+
+    With p = min(u, 1 - u): where p >= T_TAIL_P / v, Halley's method solves
+    A = 1 - 2p for theta from below, from the larger of two lower bounds,
+    the tangent at 0 and the root of the tail's leading term k c^v.  Below
+    it 1 - A would cancel, so Newton's method solves
+    log(k s c^v R(x)) = log p for log c from that leading term; R is summed
+    to rounding at the largest x the tail reaches, (T_TAIL_P / (v k))^(2/v).
+    Each value stops once its own step is below T_STEP_TOL relative, so no
+    value depends on the others in u.
+    """
+    odd, m = v % 2, v // 2
+    a = np.cumprod([1.0] + [(2 * j - 1 + odd) / (2 * j + odd) for j in range(1, m + 1)])
+    k = a[m] / (math.pi if odd else 2.0)
+    p = np.minimum(u, 1.0 - u)
+    t = np.where(p == 0.0, math.inf, math.nan)
+
+    centre = p >= T_TAIL_P / v
+    target = 1.0 - 2.0 * p[centre]
+
+    def halley(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        x, series = c * c, np.zeros_like(c)
+        for coef in a[m - 1::-1]:
+            series = series * x + coef
+        A = 2.0 / math.pi * (theta + s * c * series) if odd else s * series
+        step = (target - A) / (2.0 * v * k * c ** (v - 1))
+        return step / (1.0 - 0.5 * (v - 1) * step * s / c)
+
+    start = np.arccos(np.minimum((p[centre] / k) ** (1.0 / v), 1.0))
+    theta = _converge(halley, np.maximum(target / (2.0 * v * k), start))
+    t[centre] = math.sqrt(v) * np.tan(theta)
+
+    tail = ~centre & (p > 0.0)
+    x_max = (T_TAIL_P / (v * k)) ** (2.0 / v)
+    terms = math.ceil(math.log(0.5 * np.finfo(float).eps * (1.0 - x_max)) / math.log(x_max))
+    b = np.cumprod([1.0] + [(v + 2 * i - 1) / (v + 2 * i) for i in range(1, terms)])
+    log_pk = np.log(p[tail] / k)
+
+    def newton(log_c):
+        x = np.exp(2.0 * log_c)
+        r = (np.power.outer(x, np.arange(terms, dtype=float)) * b).sum(axis=-1)
+        return (log_pk - 0.5 * np.log1p(-x) - v * log_c - np.log(r)) * (1.0 - x) * r / v
+
+    log_c = log_pk / v
+    c = np.exp(_converge(newton, log_c - np.exp(2.0 * log_c) / (2.0 * (v + 2))))
+    t[tail] = math.sqrt(v) * np.sqrt(1.0 - c * c) / c
+    return np.copysign(t, u - 0.5)
+
+
+def _converge(step, z: np.ndarray) -> np.ndarray:
+    """z + step(z), repeated for each element until its last step was at
+    most T_STEP_TOL times its value; quadratic or faster convergence leaves
+    it at rounding then."""
+    live = np.ones(z.shape, dtype=bool)
+    for _ in range(T_MAX_STEPS):
+        dz = step(z)
+        z = np.where(live, z + dz, z)
+        live &= np.abs(dz) > T_STEP_TOL * np.abs(z)
+        if not live.any():
+            return z
+    raise ConvergenceError("Student-t quantile iteration did not converge")
+
+
+def _t_pdf(c, v: int):
+    """Student-t(v) density at c."""
+    log_pdf = (math.lgamma(0.5 * (v + 1)) - math.lgamma(0.5 * v)
+               - 0.5 * (np.log(v) + np.log(np.pi)) - (v + 1) / 2 * np.log1p(c * c / v))
     return np.exp(log_pdf)
 
 
@@ -103,10 +181,8 @@ def _t_risk_std(a: float, v: int) -> tuple[float, float]:
 
     Every replication of a design asks for the same few (a, v) pairs.
     """
-    from scipy import special
-
     scale = _t_std_factor(v)
-    c = special.stdtrit(v, a)
+    c = _t_quantile(v, np.array([a]))[0]
     raw = _t_pdf(c, v) * (v + c * c) / ((v - 1.0) * (1.0 - a))
     return float(c / scale), float(raw / scale)
 
@@ -127,10 +203,8 @@ def _simulate(design: McDesign, rep: int = 0) -> SimPath:
     because math.exp differs from it in the last bit for about 5% of
     arguments.  The loop takes one step past the path, on a zero
     innovation: its variance is h_next, and its observation is dropped."""
-    from scipy import special
-
     u = _rng(design.seed, rep).random(BURN_IN + design.n)
-    eps = special.stdtrit(design.v, u) / _t_std_factor(design.v)
+    eps = _t_quantile(design.v, u) / _t_std_factor(design.v)
     steps = eps.tolist() + [0.0]
     y, h = [], []
     y_append, h_append = y.append, h.append
@@ -265,11 +339,6 @@ def run_experiment(design: McDesign, threads: int) -> McResult:
     failed replication counts as non-coverage.  The run aborts when more
     than 5% of replications fail.
     """
-    # Every replication calls scipy.special.  Loaded here, before a pool
-    # forks its workers, it is inherited by them; otherwise each worker
-    # would import it again on every command.
-    import scipy.special  # noqa: F401
-
     jobs = [(design, rep) for rep in range(design.reps)]
     raw = run_jobs(_replicate_star, jobs, threads, chunksize=4)
 

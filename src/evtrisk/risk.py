@@ -14,8 +14,8 @@ from .errors import EstimationWarning, InputError, PoleError, TailError
 from .gpd import K_EXP_LIMIT, A_matrix, H_inv, TailFit, Vb_matrix, d_hat
 from .smoothing import LocationScaleFit
 
-# Two-sided 95% normal quantile, float(scipy.special.ndtri(0.975)) written out
-# so that importing this module loads no scipy (tests/test_imports.py pins it).
+# Two-sided 95% normal quantile, the literal of scipy.special.ndtri(0.975):
+# evtrisk does not depend on scipy, and tests/test_imports.py pins the value.
 CI_Z = 1.959963984540054
 
 

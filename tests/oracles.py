@@ -19,7 +19,8 @@ so that each compares one replaced step and not its inputs:
   (checked against ``smoothed_cdf_oracle``);
 - ``gpd_mle_newton_oracle`` starts from ``gpd.moment_stats`` and steps by
   its own ``_ascent_direction`` over ``loglik_grad_hess_oracle``;
-- ``simulate_oracle`` draws with ``mc._rng`` and ``mc._t_std_factor``.
+- ``simulate_oracle`` draws with ``mc._rng``, ``mc._t_quantile`` (checked
+  against ``scipy.special.stdtrit``) and ``mc._t_std_factor``.
 
 ``smoothed_sample`` is a fixture builder, not an oracle: the package's
 threshold rule (``tail._build_sample``) applied to given residuals at a
@@ -855,10 +856,8 @@ def simulate_oracle(design, rep=0):
     """The loop `mc._simulate` replaced: one `_variance_at` call and one
     floor test per step, and once more for the variance one step past the
     path.  Returns (y, eps, h, h_next) of the kept window."""
-    from scipy import special
-
     u = mc._rng(design.seed, rep).random(mc.BURN_IN + design.n)
-    eps = special.stdtrit(design.v, u) / mc._t_std_factor(design.v)
+    eps = mc._t_quantile(design.v, u) / mc._t_std_factor(design.v)
     y, h = [], []
     y_prev, h_prev = 0.0, 0.0
     for e in eps.tolist():

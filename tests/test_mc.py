@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from evtrisk import mc
@@ -14,6 +14,7 @@ from evtrisk.mc import (
     McDesign,
     _replicate,
     _simulate,
+    _t_quantile,
     _t_risk_std,
     named_design,
     run_experiment,
@@ -31,6 +32,8 @@ def test_design_validation():
         McDesign(n=100)
     with pytest.raises(InputError):
         McDesign(v=2)
+    with pytest.raises(InputError, match=r"^design field v must be an integer, got 4\.5$"):
+        McDesign(v=4.5)
     with pytest.raises(InputError):
         McDesign(variant="h3")
     with pytest.raises(InputError):
@@ -267,6 +270,32 @@ def test_simulate_matches_step_by_step_oracle_bitwise(name, variant, theta):
         assert path.eps.tobytes() == eps.tobytes()
         assert path.h.tobytes() == h.tobytes()
         assert path.h_next == h_next
+
+
+def _t_quantile_oracle(v, u):
+    """stdtrit(v, u), except within 0.1 of u = 1/2.  There stdtrit is off by
+    up to 5e-11 relative (v = 4; 1.2e-6 within 1e-3 of 1/2, against 40-digit
+    values), so the oracle inverts the incomplete beta function instead:
+    t = sqrt(v y / (1 - y)) with y = betaincinv(1/2, v/2, |2u - 1|), the
+    form whose argument is exact and whose y is small there."""
+    near = np.abs(u - 0.5) < 0.1
+    y = special.betaincinv(0.5, 0.5 * v, np.abs(2.0 * u[near] - 1.0))
+    out = special.stdtrit(v, u)
+    out[near] = np.copysign(np.sqrt(v * y / (1.0 - y)), u[near] - 0.5)
+    return out
+
+
+@pytest.mark.parametrize("v", range(3, 31))
+def test_t_quantile_matches_stdtrit(v):
+    rng = np.random.default_rng(v)
+    tails = np.geomspace(1e-15, 0.1, 2000)
+    u = np.concatenate([rng.random(100_000), tails, 1.0 - tails])
+    q = _t_quantile(v, u)
+    np.testing.assert_allclose(q, _t_quantile_oracle(v, u), rtol=1e-13, atol=0)
+    upper = u[u >= 0.5]  # 1 - u is exact there
+    assert np.array_equal(_t_quantile(v, 1.0 - upper), -_t_quantile(v, upper))
+    # stdtrit gives +inf at u = 0.
+    assert _t_quantile(v, np.array([0.0, 0.5, 1.0])).tolist() == [-math.inf, 0.0, math.inf]
 
 
 def test_theta_half_misspecified_design_runs():
