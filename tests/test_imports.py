@@ -5,7 +5,8 @@ with scipy's.
 No command imports scipy: one fresh interpreter, in which any scipy import
 fails, runs `import evtrisk.cli`, an `estimate`, `mc` and `backtest`
 commands at one and two threads, and finds no scipy module loaded after
-them.  `risk.CI_Z` is the literal of `special.ndtri(0.975)`, pinned bit for
+them.  Two smaller checks, under the same block, cover `import evtrisk.cli`
+alone and an `estimate` alone.  `risk.CI_Z` is the literal of `special.ndtri(0.975)`, pinned bit for
 bit.  The backtest's p-values, the simulator's density and its truths are
 checked against scipy to a relative tolerance; the Student-t quantile has
 its own test in test_mc.py.
@@ -36,11 +37,40 @@ def _run_python(code: str) -> str:
     return out.stdout
 
 
-def test_no_command_loads_scipy(tmp_path):
+# A None entry in sys.modules makes every import of scipy raise
+# ImportError, in the parent and in the pool workers it forks.
+BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+LOADED_SCIPY = ("print(sorted(name for name, module in sys.modules.items()\n"
+                "            if name.startswith('scipy') and module is not None))\n")
+
+
+def _returns_file(tmp_path: Path, n: int) -> Path:
     rng = np.random.default_rng(5)
     data = tmp_path / "returns.csv"
-    data.write_text("return\n" + "\n".join(repr(float(v)) for v in rng.standard_t(4, 650)),
+    data.write_text("return\n" + "\n".join(repr(float(v)) for v in rng.standard_t(4, n)),
                     encoding="utf-8")
+    return data
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # No scipy module at all, scipy.stats included, after either import.
+    code = f"{BLOCK_SCIPY}import evtrisk\n{LOADED_SCIPY}import evtrisk.cli\n{LOADED_SCIPY}"
+    assert _run_python(code).splitlines() == ["[]", "[]"]
+
+
+def test_estimate_command_loads_no_scipy(tmp_path):
+    data = _returns_file(tmp_path, 600)
+    code = (f"{BLOCK_SCIPY}"
+            "from evtrisk.cli import main\n"
+            f"assert main(['estimate', '--returns', {str(data)!r}, '--no-timestamp',\n"
+            f"             '--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
+            f"{LOADED_SCIPY}")
+    # The last line; the command prints its one-line summary before it.
+    assert _run_python(code).splitlines()[-1] == "[]"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    data = _returns_file(tmp_path, 650)
     out = str(tmp_path / "out")
     commands = [
         ["estimate", "--returns", str(data), "--no-timestamp", "--out", out],
@@ -50,16 +80,12 @@ def test_no_command_loads_scipy(tmp_path):
            "--B-boot", "99", "--no-timestamp", "--threads", threads, "--out", out]
           for threads in ("1", "2")),
     ]
-    # A None entry in sys.modules makes every import of scipy raise
-    # ImportError, in the parent and in the pool workers it forks.
-    code = ("import sys\n"
-            "sys.modules['scipy'] = None\n"
+    code = (f"{BLOCK_SCIPY}"
             "from evtrisk.cli import main\n"
-            f"codes = [main(argv) for argv in {commands!r}]\n"
-            "print(codes, sorted(name for name, module in sys.modules.items()\n"
-            "                    if name.startswith('scipy') and module is not None))\n")
-    # The last line; each command prints its one-line summary before it.
-    assert _run_python(code).splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+            f"print([main(argv) for argv in {commands!r}])\n"
+            f"{LOADED_SCIPY}")
+    # The last two lines; each command prints its one-line summary before them.
+    assert _run_python(code).splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
 
 
 def test_ci_z_is_the_normal_quantile_bitwise():
