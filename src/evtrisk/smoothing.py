@@ -20,19 +20,29 @@ points strictly between fl(q - h) and fl(q + h), is found by one binary
 search per end: the rule tail._cdf_sorted uses for the CDF's window.  It
 differs from the weight's support -1 < (x - q)/h < 1 only at a point within
 rounding of an end, whose weight is within rounding of 0.  The queries are
-grouped into blocks of extent at most h.  Each block recentres its power
-sums on the data of its middle window; one global origin would lose about
-(span/h)^4 to cancellation.  A fit at m queries costs O((n + m) log n) for
-the sorts and searches plus O(n span/h) for the blocks' partial sums.  Only
-the window sums are taken block by block; the weights, the degeneracy test
-and the line solve run once over all queries.  One query, such as m_hat(x),
-local_linear(q, ...) or a widened refit, skips the blocks: _ll_point fits
-the weighted line directly over its window, with the moments about the
-window's mean, in O(log n + w) for the w points of the window (README,
-"Performance", gives its measured cost).  It agrees with the block path to
-rounding, not bit for bit.  A degenerate query is refit with its bandwidth
-widened to reach its nearest neighbours, whose radius is found on the
-sorted design in O(log n + k) for the k points within it; only
+grouped into blocks of extent at most 2h.  Each block recentres its power
+sums on the data of its middle window, since one global origin would lose
+about (span/h)^4 to cancellation, and takes one prefix sum of them over the
+union of its windows: a window's sums are the difference of two prefix
+values.  Blocks start more than 2h apart and their unions span at most 4h,
+so each design point enters at most two prefix sums, and a fit at m queries
+costs O((n + m) log n) for the sorts and searches plus O(n) for the prefix
+sums and a fixed cost for each of the at most span/(2h) + 1 blocks.  The
+difference cancels the block's terms left of the window, so a window's sums
+round at about eps times the size of the block's terms up to its end, not
+of its own.  Against the dense fit, the levels of benchmark-like series move
+by up to about 4e-14 of max|y| (about 1e-15 when each window's sums come
+from its own terms only), and those of a few points next to a dense cluster
+by about 5e-14.  Only the window sums are taken block by block; the
+weights, the degeneracy test and the line solve run once over all queries.
+One query, such as m_hat(x), local_linear(q, ...) or a widened refit, skips
+the blocks: _ll_point fits the weighted line directly over its window, with
+the moments about the window's mean, in O(log n + w) for the w points of
+the window (README, "Performance", gives its measured cost).  It agrees
+with the block path to rounding, not bit for bit.  A degenerate query is
+refit with its bandwidth widened to reach its nearest neighbours, whose
+radius is found on the sorted design in O(log n + k) for the k points
+within it; only
 local_linear, the one-point fit the acceptance suite checks, raises on a
 degenerate query instead.  The dense fit, which evaluates the kernel at
 every point for every query, and the full sort of the distances for the
@@ -102,61 +112,50 @@ def _support(xs, q, h):
     return xs.searchsorted(q - h, "right"), xs.searchsorted(q + h, "left")
 
 
-def _partial_sums(terms, cuts):
-    """Row sums of terms[:, :c] for each c in the nondecreasing cuts, from one
-    sum per segment between consecutive distinct cuts."""
-    prev = np.concatenate(([0], cuts[:-1]))
-    starts = prev[cuts > prev]
-    running = np.zeros((terms.shape[0], starts.size + 1))
-    if starts.size:
-        segments = np.add.reduceat(terms[:, : cuts[-1]], starts, axis=1)
-        np.add.accumulate(segments, axis=1, out=running[:, 1:])
-    return running[:, starts.searchsorted(cuts)]
-
-
 def _window_sums(xs, ys, qs, lo, hi, h):
     """Windowed power sums about a centre near each sorted query.
 
     Returns the rows n, T0, S1, T1, S2, T2, S3, T3, S4, 0 of the sums of
     S_p = d^p and T_p = d^p y over each query's window [lo, hi) of the
     sorted design xs, where d = x - c, and the centre c of each query.
-    Queries are grouped into blocks of extent at most h; a block's centre c
+    Queries are grouped into blocks of extent at most 2h; a block's centre c
     is the mean of the design points in its middle query's window.
-    Centring per block keeps |d| and |q - c| within a few h and c near the
-    mass of every window in the block, so the moments built from these sums
-    lose about as much as the dense ones; one global centre would lose about
-    (span/h)^4.  Where all windows of a block are empty, as those of
-    infinite and NaN queries are, the sums are 0 and the centre is the query
-    itself.
+    Centring per block keeps |d| and |q - c| within 4h and c near the mass
+    of every window in the block; one global centre would lose about
+    (span/h)^4.  The block's terms over the union [first, last) of its
+    windows are summed once into prefix sums P, with a zero column in
+    front, and a window's sums are P[hi] - P[lo].  P[lo] holds the block's
+    terms left of the window, which the difference cancels: a window's sums
+    round at about eps times the size of P[hi], so the error relative to the
+    window grows with the number of block points left of it over the number
+    in it.  Where all windows of a block are empty, as those of infinite and
+    NaN queries are, the sums are 0 and the centre is the query itself.
     """
     sums = np.zeros((10, qs.size))
     sums[0] = hi - lo
     centres = qs.copy()
     start = 0
     while start < qs.size:
-        stop = int(qs.searchsorted(qs[start] + h, side="right"))
+        stop = int(qs.searchsorted(qs[start] + 2.0 * h, side="right"))
         blo, bhi = lo[start:stop], hi[start:stop]
         first, last = int(blo[0]), int(bhi[-1])  # both ends rise with q
         if last > first:
             mid = (start + stop - 1) // 2
             near = slice(lo[mid], hi[mid]) if hi[mid] > lo[mid] else slice(first, last)
             c = float(np.add.reduce(xs[near]) / (near.stop - near.start))  # np.mean, bit for bit
-            # Rows y, d, d y, d^2, d^2 y, d^3, d^3 y, d^4 over the block.
-            terms = np.empty((8, last - first))
+            # Rows y, d, d y, d^2, d^2 y, d^3, d^3 y, d^4 over the block, after
+            # a zero column, summed into prefix sums P: a window's sums are
+            # P[hi] - P[lo].
+            prefix = np.zeros((8, last - first + 1))
+            terms = prefix[:, 1:]
             y, d, d2 = terms[0], terms[1], terms[3]
             y[:] = ys[first:last]
             np.subtract(xs[first:last], c, out=d)
             np.multiply(d, d, out=d2)
             np.multiply(terms[1:4:2], d2, out=terms[5::2])
             np.multiply(terms[1:7:2], y, out=terms[2:7:2])
-            # Partial sums run outward from the first design point at or above
-            # the block's middle.  Every query is within h/2 of the middle, so
-            # that point splits every window of the block, and a window sum
-            # never cancels terms from outside the window.
-            a = int(xs.searchsorted(0.5 * (qs[start] + qs[stop - 1]))) - first
-            sums[1:9, start:stop] = (
-                _partial_sums(terms[:, a:], bhi - (first + a))
-                + _partial_sums(terms[:, :a][:, ::-1], (first + a - blo)[::-1])[:, ::-1])
+            np.cumsum(terms, axis=1, out=terms)
+            sums[1:9, start:stop] = prefix[:, bhi - first] - prefix[:, blo - first]
             centres[start:stop] = c
         start = stop
     return sums, centres

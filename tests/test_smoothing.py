@@ -447,6 +447,17 @@ def test_windowed_fit_matches_dense_with_heavy_ties():
     )
 
 
+def test_windowed_fit_matches_dense_next_to_a_dense_cluster():
+    # The queries from 0 to 2h = 1.2 form one block, whose window sums are
+    # differences of one prefix sum over the block.  A query right of 0.61
+    # has a window of a few sparse points, and its sums cancel the prefix of
+    # the 4000 clustered terms, whose y near 1 sum to about 4000.
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(0.0, 0.01, 4000), rng.uniform(0.5, 1.5, 12)])
+    y = 1.0 + 0.1 * rng.normal(size=x.size)
+    assert_matches_dense(np.concatenate([x, np.linspace(0.6, 1.5, 46)]), x, y, 0.6)
+
+
 def test_windowed_fit_point_exactly_at_bandwidth():
     # (x - q)/h is exactly +-1 for the neighbors of each query: zero weight,
     # so the window holds one point and every query is widened.
