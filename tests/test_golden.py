@@ -12,9 +12,7 @@ where rounding has been seen to move a forecast by 7.1e-10.  A change
 meant to move outputs rewrites them with scripts/update_golden.py.
 """
 
-import csv
 import importlib.util
-import json
 import math
 import pathlib
 
@@ -26,23 +24,6 @@ update_golden = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(update_golden)
 
 REL_TOL = 1e-8
-
-
-def _cell(text):
-    """A CSV field as an int, a float or the string itself."""
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
-
-
-def _load(path):
-    if path.suffix == ".json":
-        return json.loads(path.read_text(encoding="utf-8"))
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [[_cell(field) for field in row] for row in csv.reader(fh)]
 
 
 def _mismatches(got, want, where=""):
@@ -68,7 +49,14 @@ def built(tmp_path_factory):
 
 @pytest.mark.parametrize("name", update_golden.OUTPUTS)
 def test_output_matches_golden(built, name):
-    want = _load(update_golden.GOLDEN / name)
-    got = _load(built / name)
+    want = update_golden.load(update_golden.GOLDEN / name)
+    got = update_golden.load(built / name)
     assert _mismatches(got, want) == []
 
+
+def test_float_moves_counts_and_sizes_the_moved_floats():
+    old = {"a": [1.0, 2.0, "x", 3], "b": math.nan}
+    assert update_golden.float_moves(old, old) == (0, 0.0)
+    assert update_golden.float_moves({"a": [1.0, 2.5, "x", 3], "b": math.nan}, old) == (1, 0.25)
+    assert update_golden.float_moves({"a": [1.0, 2.0, "y", 3], "b": math.nan}, old) is None
+    assert update_golden.float_moves({"a": [1.0, 2.0, "x", 3]}, old) is None
