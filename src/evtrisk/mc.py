@@ -45,6 +45,9 @@ TRIM_FRACTION = 0.025
 T_TAIL_P = 0.05
 T_STEP_TOL = 1e-9
 T_MAX_STEPS = 50
+# The largest v a design may take: _t_quantile is checked against scipy's
+# stdtrit for v = 3 to T_V_MAX, and its cost grows with v // 2.
+T_V_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,10 @@ class McDesign:
             raise InputError(f"design field v must be an integer, got {self.v!r}")
         if self.v <= 2:
             raise InputError("Student-t innovations need v > 2 for unit variance")
+        if self.v > T_V_MAX:
+            raise InputError(
+                f"design field v must be at most {T_V_MAX}, got {self.v}: the simulator's "
+                f"Student-t quantile is verified for v = 3 to {T_V_MAX}")
         if self.variant not in ("h1", "h2"):
             raise InputError(f"unknown variance variant {self.variant!r}")
         for a in self.a_levels:

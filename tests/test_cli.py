@@ -541,6 +541,7 @@ def test_thread_range_errors_name_their_source(monkeypatch):
     (["mc", "--design", "{tmp}/bad.json"], '{"a_levels": 0.95}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": "1000"}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v": 4.5}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v": 1000}', None),
     (["mc", "--design", "{tmp}/bad.json"], '[1, 2]', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v"', None),
     (["mc", "--design", "table1", "--reps", "1"], None, "abc"),
@@ -549,7 +550,7 @@ def test_thread_range_errors_name_their_source(monkeypatch):
     (["estimate", "--prices", "{tmp}/bad.csv"],
      b"date,price\n2000-01-03,100\n2000-01-04,10\xe9\n", None),
 ], ids=["missing-returns", "missing-design", "unknown-field", "rho_c-field",
-        "scalar-levels", "string-value", "non-integer-v", "not-object", "truncated", "env-threads",
+        "scalar-levels", "string-value", "non-integer-v", "large-v", "not-object", "truncated", "env-threads",
         "mixed-utc-offsets", "not-utf8"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                argv_tail, bad_text, env):

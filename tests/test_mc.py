@@ -34,6 +34,9 @@ def test_design_validation():
         McDesign(v=2)
     with pytest.raises(InputError, match=r"^design field v must be an integer, got 4\.5$"):
         McDesign(v=4.5)
+    with pytest.raises(InputError, match=r"^design field v must be at most 30, got 31: .* v = 3 to 30$"):
+        McDesign(v=31)
+    assert McDesign(v=30).v == 30
     with pytest.raises(InputError):
         McDesign(variant="h3")
     with pytest.raises(InputError):
