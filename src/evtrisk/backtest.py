@@ -58,6 +58,8 @@ class BacktestConfig:
             raise InputError(f"tail count N={self.N} must satisfy 0 < N < n - 1={self.n - 1}")
         if self.B_boot < 1:
             raise InputError(f"bootstrap count B_boot must be at least 1, got {self.B_boot}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InputError(f"bootstrap seed must be a non-negative integer, got {self.seed!r}")
         if self.n > 100:
             n_eff = self.n - 1
             a_min = 1.0 - self.tail_count(n_eff) / n_eff

@@ -41,17 +41,20 @@ def _recording_warnings(fn, job):
 
 
 def run_jobs(fn, jobs, threads: int, chunksize: int) -> list:
-    """[fn(job) for job in jobs], on a pool of `threads` worker processes
-    when threads > 1.  A worker's warnings would stay in the worker: each
-    job returns its own, and they are issued here, in job order and under
-    this process's filters, as if raised here at any thread count.
+    """[fn(job) for job in jobs], on a pool of min(threads, len(jobs)) worker
+    processes when that is above 1, else in this process.  The pool starts
+    all of its workers at once, busy or not, so it gets no more than there
+    are jobs.  A worker's warnings would stay in the worker: each job
+    returns its own, and they are issued here, in job order and under this
+    process's filters, as if raised here at any thread count.
     warn_explicit keeps their origin and, unlike warnings.warn, is not
     counted again by the benchmark's tracer (perfbench/spans.py)."""
     call = functools.partial(_recording_warnings, fn)
-    if threads > 1:
+    workers = min(threads, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(call, jobs, chunksize=chunksize))
     else:
         done = [call(job) for job in jobs]

@@ -64,12 +64,20 @@ class McDesign:
     c: float = 0.7
 
     def __post_init__(self):
+        for name in ("n", "reps", "seed", "v"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"design field {name} must be an integer, got {value!r}")
         if self.n < 200:
             raise InputError("design needs n >= 200")
         if self.reps < 1:
             raise InputError("design needs reps >= 1")
-        if not isinstance(self.v, int):
-            raise InputError(f"design field v must be an integer, got {self.v!r}")
+        if self.seed < 0:
+            raise InputError(f"design field seed must be non-negative, got {self.seed}")
+        # The variance recursion h_t = h_i(y) + theta h_{t-1} is stationary for
+        # theta in [0, 1); a negative theta can drive h1's variance below 0.
+        if not (isinstance(self.theta, (int, float)) and 0.0 <= self.theta < 1.0):
+            raise InputError(f"design field theta must be a real number in [0, 1), got {self.theta!r}")
         if self.v <= 2:
             raise InputError("Student-t innovations need v > 2 for unit variance")
         if self.v > T_V_MAX:
@@ -261,7 +269,10 @@ def true_risk(design: McDesign, x: float, a: float, h_next: float):
 def _record(records: dict, arm: str, design: McDesign, tail_fit, x, m_x, h_x, h_next):
     """Rows of one estimator arm and its "_bc" twin: the four parameter rows,
     then four rows per design level, assembled at the path's query point x
-    from the arm's location m_x and variance h_x there."""
+    from the arm's location m_x and variance h_x there.  A row is (estimate,
+    truth, coverage): only the "_bc" CVaR and CES rows have an interval, so
+    only they carry whether it covers the truth, and run_experiment gives
+    an ECP to these rows alone."""
     bc = arm + "_bc"
     sigma_n_true = -design.k0 * _t_risk_std(tail_fit.sample.a_N, design.v)[0]
     records[("sigma_N", arm, None)] = (tail_fit.params.sigma, sigma_n_true, None)
@@ -369,11 +380,9 @@ def run_experiment(design: McDesign, threads: int) -> McResult:
         errors = np.array([est - true for est, true, _ in triples])
         b, s, r = summarize(errors)
         covered = [cov for _, _, cov in triples if cov is not None]
-        if key[0] in ("cvar", "ces") and key[1].endswith("_bc"):
-            # failed replications count as non-coverage: divide by all reps
-            ecp = sum(bool(c) for c in covered) / design.reps
-        else:
-            ecp = None
+        # A row has an ECP when _record gave it a coverage; failed
+        # replications count as non-coverage: divide by all reps.
+        ecp = sum(bool(c) for c in covered) / design.reps if covered else None
         r_by_key[key] = r
         rows.append(McRow(key[0], key[1], key[2], b, s, r, math.nan, ecp))
 

@@ -11,22 +11,23 @@ solved for Y, then for U^2, with the minimum-norm semantics and cutoff of
 np.linalg.lstsq.
 
 The local-linear sums are exact and need no pass over all n points per
-query.  The Epanechnikov weight is a polynomial on its support, so the sums
-s0..s2 and t0, t1 of a query are combinations of windowed power sums of the
-covariate (powers up to 4) and of covariate times response (powers up to 3):
-the "updating" method of Fan & Marron (1994) and Seifert, Brockmann, Engel &
-Gasser (1994).  The design is sorted once, and each query's window, the
-points strictly between fl(q - h) and fl(q + h), is found by one binary
-search per end: the rule tail._cdf_sorted uses for the CDF's window.  It
-differs from the weight's support -1 < (x - q)/h < 1 only at a point within
-rounding of an end, whose weight is within rounding of 0.  The queries are
-grouped into blocks of extent at most 2h.  Each block recentres its power
-sums on the data of its middle window, since one global origin would lose
-about (span/h)^4 to cancellation, and takes one prefix sum of them over the
-union of its windows: a window's sums are the difference of two prefix
-values.  Blocks start more than 2h apart and their unions span at most 4h,
-so each design point enters at most two prefix sums, and a fit at m queries
-costs O((n + m) log n) for the sorts and searches plus O(n) for the prefix
+fitted point.  The Epanechnikov weight is a polynomial on its support, so
+the sums s0..s2 and t0, t1 at a point q are combinations of windowed power
+sums of the covariate (powers up to 4) and of covariate times response
+(powers up to 3): the "updating" method of Fan & Marron (1994) and Seifert,
+Brockmann, Engel & Gasser (1994).  The design is sorted once, and the
+window of each of its points q, the points strictly between fl(q - h) and
+fl(q + h), is found by one binary search per end: the rule
+tail._cdf_sorted uses for the CDF's window.  It differs from the weight's
+support -1 < (x - q)/h < 1 only at a point within rounding of an end, whose
+weight is within rounding of 0.  The sorted points are grouped into blocks
+of extent at most 2h.  Each block recentres its power sums on the data of
+its middle window, since one global origin would lose about (span/h)^4 to
+cancellation, and takes one prefix sum of them over the union of its
+windows: a window's sums are the difference of two prefix values.  Blocks
+start more than 2h apart and their unions span at most 4h, so each design
+point enters at most two prefix sums, and the block path fits the n sample
+points in O(n log n) for the sort and searches plus O(n) for the prefix
 sums and a fixed cost for each of the at most span/(2h) + 1 blocks.  The
 difference cancels the block's terms left of the window, so a window's sums
 round at about eps times the size of the block's terms up to its end, not
@@ -34,20 +35,19 @@ of its own.  Against the dense fit, the levels of benchmark-like series move
 by up to about 4e-14 of max|y| (about 1e-15 when each window's sums come
 from its own terms only), and those of a few points next to a dense cluster
 by about 5e-14.  Only the window sums are taken block by block; the
-weights, the degeneracy test and the line solve run once over all queries.
-One query, such as m_hat(x), local_linear(q, ...) or a widened refit, skips
-the blocks: _ll_point fits the weighted line directly over its window, with
-the moments about the window's mean, in O(log n + w) for the w points of
-the window (README, "Performance", gives its measured cost).  It agrees
-with the block path to rounding, not bit for bit.  A degenerate query is
-refit with its bandwidth widened to reach its nearest neighbours, whose
-radius is found on the sorted design in O(log n + k) for the k points
-within it; only
-local_linear, the one-point fit the acceptance suite checks, raises on a
-degenerate query instead.  The dense fit, which evaluates the kernel at
-every point for every query, and the full sort of the distances for the
-widening are kept as the test oracles ``local_linear_dense`` and
-``_nn_bandwidth`` in tests/oracles.py.
+weights, the degeneracy test and the line solve run once over all points.
+Every single query, such as m_hat(x), h_hat(x), local_linear(q, ...) or a
+widened refit, goes through _ll_point: it fits the weighted line directly
+over its window, with the moments about the window's mean, in
+O(log n + w) for the w points of the window (README, "Performance", gives
+its measured cost).  It agrees with the block path to rounding, not bit
+for bit.  A degenerate point is refit with its bandwidth widened to reach
+its nearest neighbours, whose radius is found on the sorted design in
+O(log n + k) for the k points within it; only local_linear, the one-point
+fit the acceptance suite checks, raises on a degenerate query instead.  The
+dense fit, which evaluates the kernel at every point for every query, and
+the full sort of the distances for the widening are kept as the test
+oracles ``local_linear_dense`` and ``_nn_bandwidth`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -108,37 +108,38 @@ def _nn_bandwidth(q, xs, h):
 
 def _support(xs, q, h):
     """Index range [lo, hi) of sorted xs strictly between the rounded ends
-    fl(q - h) and fl(q + h) of each query's window, as in tail._cdf_sorted."""
+    fl(q - h) and fl(q + h) of the window of q, a point or an array of
+    them, as in tail._cdf_sorted."""
     return xs.searchsorted(q - h, "right"), xs.searchsorted(q + h, "left")
 
 
-def _window_sums(xs, ys, qs, lo, hi, h):
-    """Windowed power sums about a centre near each sorted query.
+def _window_sums(xs, ys, lo, hi, h):
+    """Windowed power sums about a centre near each point of the sorted
+    design xs.
 
     Returns the rows n, T0, S1, T1, S2, T2, S3, T3, S4, 0 of the sums of
-    S_p = d^p and T_p = d^p y over each query's window [lo, hi) of the
-    sorted design xs, where d = x - c, and the centre c of each query.
-    Queries are grouped into blocks of extent at most 2h; a block's centre c
-    is the mean of the design points in its middle query's window.
-    Centring per block keeps |d| and |q - c| within 4h and c near the mass
-    of every window in the block; one global centre would lose about
-    (span/h)^4.  The block's terms over the union [first, last) of its
-    windows are summed once into prefix sums P, with a zero column in
-    front, and a window's sums are P[hi] - P[lo].  P[lo] holds the block's
-    terms left of the window, which the difference cancels: a window's sums
-    round at about eps times the size of P[hi], so the error relative to the
-    window grows with the number of block points left of it over the number
-    in it.  Where all windows of a block are empty, as those of infinite and
-    NaN queries are, the sums are 0 and the centre is the query itself.
+    S_p = d^p and T_p = d^p y over each point's window [lo, hi) of xs, where
+    d = x - c, and the centre c of each point.  The points are grouped into
+    blocks of extent at most 2h; a block's centre c is the mean of the
+    design points in its middle point's window.  Centring per block keeps
+    |d| and |x - c| within 4h and c near the mass of every window in the
+    block; one global centre would lose about (span/h)^4.  The block's terms
+    over the union [first, last) of its windows are summed once into prefix
+    sums P, with a zero column in front, and a window's sums are
+    P[hi] - P[lo].  P[lo] holds the block's terms left of the window, which
+    the difference cancels: a window's sums round at about eps times the
+    size of P[hi], so the error relative to the window grows with the number
+    of block points left of it over the number in it.  Where every window of
+    a block is empty, the sums are 0 and the centre is the point itself.
     """
-    sums = np.zeros((10, qs.size))
+    sums = np.zeros((10, xs.size))
     sums[0] = hi - lo
-    centres = qs.copy()
+    centres = xs.copy()
     start = 0
-    while start < qs.size:
-        stop = int(qs.searchsorted(qs[start] + 2.0 * h, side="right"))
+    while start < xs.size:
+        stop = int(xs.searchsorted(xs[start] + 2.0 * h, side="right"))
         blo, bhi = lo[start:stop], hi[start:stop]
-        first, last = int(blo[0]), int(bhi[-1])  # both ends rise with q
+        first, last = int(blo[0]), int(bhi[-1])  # both ends rise with x
         if last > first:
             mid = (start + stop - 1) // 2
             near = slice(lo[mid], hi[mid]) if hi[mid] > lo[mid] else slice(first, last)
@@ -161,32 +162,28 @@ def _window_sums(xs, ys, qs, lo, hi, h):
     return sums, centres
 
 
-def _ll_sorted(queries, xs, ys, h, order=None):
-    """Local-linear fit at many queries on a design sorted by covariate.
+def _ll_sorted(xs, ys, h):
+    """Local-linear levels at every point of the design xs, sorted by
+    covariate, in that order.
 
-    `order` is the stable argsort of the queries, when the caller has it.
-    Queries whose window holds fewer than 3 points, or whose weighted
-    covariate variance is negligible, are degenerate: each is refit, in
-    query order, with the bandwidth widened to cover its nearest neighbors.
+    Points whose window holds fewer than 3 points, or whose weighted
+    covariate variance is negligible, are degenerate: each is refit with the
+    bandwidth widened to cover its nearest neighbors.
 
-    Each query's moments s0, s1, s2 (sums of w d^k) and t0, t1 (sums of
+    Each point's moments s0, s1, s2 (sums of w d^k) and t0, t1 (sums of
     w d^k y) about its block centre c follow from its window sums: with
-    delta = q - c, the weight w = 0.75 (1 - ((x-q)/h)^2) is
+    delta = q - c at the point q, the weight w = 0.75 (1 - ((x-q)/h)^2) is
     w0 + w1 d - w2 d^2 with w0 = 0.75 (1 - delta^2/h^2), w1 = 1.5 delta/h^2
     and w2 = 0.75/h^2.  Past the block loop every step runs once over all
-    queries.
+    points.
     """
-    queries = np.array(queries, dtype=float, ndmin=1)
-    if order is None:
-        order = queries.argsort(kind="stable")
-    qs = queries[order]
-    lo, hi = _support(xs, qs, h)
-    sums, centres = _window_sums(xs, ys, qs, lo, hi, h)
+    lo, hi = _support(xs, xs, h)
+    sums, centres = _window_sums(xs, ys, lo, hi, h)
 
     window = min(h, float(xs[-1] - xs[0]))  # effective covariate spread scale
     inv_h2 = 1.0 / (h * h)
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta = qs - centres
+        delta = xs - centres
         w0 = 0.75 * (1.0 - delta * delta * inv_h2)
         w1 = 1.5 * delta * inv_h2
         w2 = 0.75 * inv_h2
@@ -200,18 +197,14 @@ def _ll_sorted(queries, xs, ys, h, order=None):
         tied = xs.take(hi - 1, mode="clip") == xs.take(lo, mode="clip")
         bad = (sums[0] < 3) | tied | (wvar <= 1e-13 * window * window)
         # The line fit about c, evaluated at q = c + delta; degenerate
-        # queries are overwritten below.
+        # points are overwritten below.
         det = s0 * s2 - s1 * s1
-        slopes_s = (s0 * t1 - s1 * t0) / det
-        levels_s = (s2 * t0 - s1 * t1) / det + slopes_s * delta
-    levels = np.empty(queries.size)
-    slopes = np.empty(queries.size)
-    levels[order], slopes[order] = levels_s, slopes_s
-    if np.count_nonzero(bad):
-        for j in np.sort(order[bad]):  # back in query order
-            q = float(queries[j])
-            levels[j], slopes[j] = _ll_point(q, xs, ys, _nn_bandwidth(q, xs, h))
-    return levels, slopes
+        slopes = (s0 * t1 - s1 * t0) / det
+        levels = (s2 * t0 - s1 * t1) / det + slopes * delta
+    for j in np.flatnonzero(bad):
+        q = float(xs[j])
+        levels[j] = _ll_point(q, xs, ys, _nn_bandwidth(q, xs, h))[0]
+    return levels
 
 
 def _ll_point(q, xs, ys, h, strict=True):
@@ -351,19 +344,18 @@ class LocationScaleFit:
     h1: float
     h2: float
     residuals: np.ndarray
-    # m_hat(q) and h_hat(q): a float for a scalar query, else an array.
-    m_hat: Callable[[float | np.ndarray], float | np.ndarray] = field(repr=False)
-    h_hat: Callable[[float | np.ndarray], float | np.ndarray] = field(repr=False)
+    # m_hat(q) and h_hat(q): the fitted location and variance at one query.
+    m_hat: Callable[[float], float] = field(repr=False)
+    h_hat: Callable[[float], float] = field(repr=False)
 
 
 def _evaluator(xs, ys, h):
     """Local-linear curve of ys on the sorted design xs at bandwidth h, as a
-    function of query points: a float for a scalar query, else an array."""
+    function of one query point; a degenerate query is refit at its widened
+    bandwidth."""
 
-    def curve(q):
-        if np.isscalar(q):
-            return _ll_point(float(q), xs, ys, h, strict=False)[0]
-        return _ll_sorted(q, xs, ys, h)[0]
+    def curve(q: float) -> float:
+        return _ll_point(float(q), xs, ys, h, strict=False)[0]
 
     return curve
 
@@ -396,18 +388,20 @@ def fit_location_scale(series: ReturnSeries, lag: int = 1) -> LocationScaleFit:
     pilot = _quartic_pilot(x)
     h1 = pilot(y)
     # One stable sort of the design serves both sample passes and every
-    # later m_hat/h_hat query.
+    # later m_hat/h_hat query; the sorted fits are scattered back through it.
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     # Isolated covariates (routine under heavy-tailed innovations) get a
     # nearest-neighbor bandwidth floor instead of failing.
-    m_at_x, _ = _ll_sorted(x, xs, ys, h1, order=order)
+    m_at_x = np.empty(n_eff)
+    m_at_x[order] = _ll_sorted(xs, ys, h1)
     u = y - m_at_x
     u2 = u * u
     h2 = pilot(u2)
     del pilot  # the design's factors are done with
     u2s = u2[order]
-    h_at_x, _ = _ll_sorted(x, xs, u2s, h2, order=order)
+    h_at_x = np.empty(n_eff)
+    h_at_x[order] = _ll_sorted(xs, u2s, h2)
 
     floor = H_EPS * float(np.mean(u2))
     positive = h_at_x > floor

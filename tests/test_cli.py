@@ -356,6 +356,7 @@ def test_backtest_level_checked_before_input_read(tmp_path, capsys, input_flag):
     (["--N", "0"], "tail count N=0 must satisfy 0 < N < n - 1=399"),
     (["--N", "399"], "tail count N=399 must satisfy 0 < N < n - 1=399"),
     (["--a", "0.95,0.95"], "level 0.95 given more than once"),
+    (["--seed", "-1"], "bootstrap seed must be a non-negative integer, got -1"),
 ])
 def test_backtest_config_rejected_before_input_read(tmp_path, capsys, flags, message):
     # The input file does not exist: the configuration error comes first.
@@ -542,6 +543,13 @@ def test_thread_range_errors_name_their_source(monkeypatch):
     (["mc", "--design", "{tmp}/bad.json"], '{"n": "1000"}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v": 4.5}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v": 1000}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"theta": "abc"}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"n": 1000.5}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"reps": 2.5}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"seed": 1.5}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"theta": 1.5}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"theta": -0.5}', None),
+    (["mc", "--design", "table1", "--seed", "-1"], None, None),
     (["mc", "--design", "{tmp}/bad.json"], '[1, 2]', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v"', None),
     (["mc", "--design", "table1", "--reps", "1"], None, "abc"),
@@ -550,7 +558,9 @@ def test_thread_range_errors_name_their_source(monkeypatch):
     (["estimate", "--prices", "{tmp}/bad.csv"],
      b"date,price\n2000-01-03,100\n2000-01-04,10\xe9\n", None),
 ], ids=["missing-returns", "missing-design", "unknown-field", "rho_c-field",
-        "scalar-levels", "string-value", "non-integer-v", "large-v", "not-object", "truncated", "env-threads",
+        "scalar-levels", "string-value", "non-integer-v", "large-v", "string-theta", "non-integer-n",
+        "non-integer-reps", "non-integer-seed", "theta-above-one", "negative-theta", "negative-seed",
+        "not-object", "truncated", "env-threads",
         "mixed-utc-offsets", "not-utf8"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                argv_tail, bad_text, env):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 from dataclasses import replace
@@ -8,7 +9,7 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from evtrisk import mc
-from evtrisk.errors import InputError
+from evtrisk.errors import EstimationWarning, InputError, run_jobs
 from evtrisk.mc import (
     TRIM_FRACTION,
     McDesign,
@@ -37,6 +38,18 @@ def test_design_validation():
     with pytest.raises(InputError, match=r"^design field v must be at most 30, got 31: .* v = 3 to 30$"):
         McDesign(v=31)
     assert McDesign(v=30).v == 30
+    for field, value in (("n", 1000.5), ("reps", 2.5), ("seed", 1.5), ("seed", True)):
+        with pytest.raises(InputError, match=rf"^design field {field} must be an integer, got {value!r}$"):
+            McDesign(**{field: value})
+    with pytest.raises(InputError, match=r"^design field seed must be non-negative, got -1$"):
+        McDesign(seed=-1)
+    # theta weighs the previous variance: the recursion is stationary for
+    # theta in [0, 1), whichever variance function it carries.
+    for variant in ("h1", "h2"):
+        for theta in ("abc", 1.0, 1.5, -0.5, math.nan, math.inf):
+            with pytest.raises(InputError, match=r"^design field theta must be a real number in \[0, 1\), got "):
+                McDesign(variant=variant, theta=theta)
+        assert McDesign(variant=variant, theta=0.99).theta == 0.99
     with pytest.raises(InputError):
         McDesign(variant="h3")
     with pytest.raises(InputError):
@@ -177,8 +190,11 @@ def test_experiment_rows_complete(small_result):
     for row in small_result.rows:
         assert math.isfinite(row.B)
         assert row.rel_R >= 1.0 or math.isnan(row.rel_R)
+        # Only the intervals of the corrected CVaR and CES have a coverage.
         if row.estimator.endswith("_bc") and row.target in ("cvar", "ces"):
             assert row.ecp is not None and 0.0 <= row.ecp <= 1.0
+        else:
+            assert row.ecp is None
 
 
 def test_experiment_reproducible_across_threads(small_result):
@@ -189,6 +205,40 @@ def test_experiment_reproducible_across_threads(small_result):
     for a, b in zip(small_result.rows, again.rows):
         assert (a.target, a.estimator, a.a) == (b.target, b.estimator, b.a)
         assert a.B == b.B and a.S == b.S and a.R == b.R and a.ecp == b.ecp
+
+
+def test_run_jobs_starts_no_more_workers_than_jobs(monkeypatch):
+    # A process pool starts all of its workers at once, so run_jobs asks for
+    # no more than there are jobs, and runs here when that is one.  A stand-in
+    # pool records its size and maps in this process: no process starts.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    def square(i):
+        warnings.warn(f"job {i}", EstimationWarning)
+        return i * i
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for threads, count, pool in [(64, 4, [4]), (64, 1, []), (2, 8, [2]), (1, 8, []), (64, 0, [])]:
+        sizes.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_jobs(square, list(range(count)), threads, chunksize=4)
+        assert sizes == pool, (threads, count)
+        assert results == [i * i for i in range(count)]
+        assert [str(w.message) for w in caught] == [f"job {i}" for i in range(count)]
 
 
 def fail_first_call(monkeypatch, module, name, error):

@@ -1,3 +1,4 @@
+import contextlib
 import pathlib
 import random
 import types
@@ -210,7 +211,7 @@ def test_fit_bandwidths_equal_the_plug_in_oracle():
               _simulate(replace(named_design("table1"), seed=5), 0).y]
     for values in series:
         fit = fit_location_scale(ReturnSeries(values, kind="raw"))
-        u2 = (fit.y - fit.m_hat(fit.x)) ** 2
+        u2 = (fit.y - windowed_fit(fit.x, fit.y, fit.h1)) ** 2
         assert fit.h1 == pytest.approx(rot_oracle(fit.x, fit.y), rel=1e-12)
         assert fit.h2 == pytest.approx(rot_oracle(fit.x, u2), rel=1e-12)
 
@@ -294,7 +295,8 @@ def test_fit_location_scale_zero_where_h_nonpositive():
     rng = np.random.default_rng(1)
     y = ReturnSeries(rng.standard_normal(500), kind="raw")
     fit = fit_location_scale(y)
-    h_at_x = fit.h_hat(fit.x)
+    u2 = (fit.y - windowed_fit(fit.x, fit.y, fit.h1)) ** 2
+    h_at_x = windowed_fit(fit.x, u2, fit.h2)
     assert np.all(fit.residuals[h_at_x <= 0] == 0.0)
 
 
@@ -345,23 +347,20 @@ def _load_gen():
     return module
 
 
-def windowed_fit(queries, x, y, h):
-    """The windowed fit as fit_location_scale runs it: on the design sorted
-    once by covariate."""
+def windowed_fit(x, y, h):
+    """The block path as fit_location_scale runs it: the levels at the sample
+    points, fit on the design sorted once by covariate and scattered back."""
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, kind="stable")
-    return smoothing._ll_sorted(queries, x[order], np.asarray(y, dtype=float)[order], h)
+    levels = np.empty(x.size)
+    levels[order] = smoothing._ll_sorted(x[order], np.asarray(y, dtype=float)[order], h)
+    return levels
 
 
-def dense_fit(queries, x, y, h):
-    """The dense oracle, widening degenerate queries as the windowed fit does."""
-    return oracles.local_linear_dense(queries, x, y, h, strict=False)
-
-
-def _run(module, fit, queries, x, y, h):
-    """(levels, slopes) or the DegenerateFitError message, plus the queries
-    whose bandwidth was widened, in the order they were widened; `module`
-    holds the _nn_bandwidth that `fit` calls."""
+@contextlib.contextmanager
+def widened_queries(module):
+    """The queries whose bandwidth `module`'s _nn_bandwidth widens within
+    the `with` statement, in the order they were widened."""
     widened = []
     original = module._nn_bandwidth
 
@@ -371,34 +370,37 @@ def _run(module, fit, queries, x, y, h):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_nn_bandwidth", recording)
-        try:
-            result = fit(queries, x, y, h)
-        except DegenerateFitError as exc:
-            result = str(exc)
-    return result, widened
+        yield widened
 
 
-def assert_matches_dense(queries, x, y, h, tol=1e-10):
-    """The windowed fit agrees with the dense oracle: levels within
-    tol * max|y| and slopes within tol * max|y| / h, or tol * max|dense| where
-    that is larger; the same widened queries and the same errors.
+def assert_matches_dense(x, y, h, tol=1e-10):
+    """At the sample points the block path agrees with the dense oracle:
+    levels within tol * max|y|, or tol * max|dense| where that is larger,
+    and the same points widened.  Returns the dense levels.
 
-    The tolerance scales with the data: where every true slope is near 0,
-    max|dense| alone is itself rounding noise.  A level extrapolated far
-    outside the data can exceed max|y|, and then rounds at its own size.
+    The tolerance scales with the data: a flat response leaves levels whose
+    own size is rounding noise.  The block path widens its points in
+    covariate order, the oracle in sample order.
     """
-    fast, fast_widened = _run(smoothing, windowed_fit, queries, x, y, h)
-    dense, dense_widened = _run(oracles, dense_fit, queries, x, y, h)
-    np.testing.assert_array_equal(fast_widened, dense_widened)
-    if isinstance(dense, str):
-        assert fast == dense
-        return dense
-    assert not isinstance(fast, str), fast
-    level_scale = float(np.max(np.abs(y)))
-    for got, want, scale in zip(fast, dense, (level_scale, level_scale / h)):
-        scale = max(scale, float(np.max(np.abs(want))))
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
+    with widened_queries(smoothing) as fast_widened:
+        fast = windowed_fit(x, y, h)
+    with widened_queries(oracles) as dense_widened:
+        dense, _ = oracles.local_linear_dense(x, x, y, h, strict=False)
+    np.testing.assert_array_equal(np.sort(fast_widened), np.sort(dense_widened))
+    scale = max(float(np.max(np.abs(y))), float(np.max(np.abs(dense))))
+    np.testing.assert_allclose(fast, dense, rtol=0.0, atol=tol * scale)
     return dense
+
+
+def assert_queries_match_dense(queries, x, y, h):
+    """Off the design, one query at a time as m_hat and h_hat answer it:
+    _ll_point, widened where degenerate, agrees with the dense oracle as
+    _assert_point_matches_dense checks, widens the same queries, or raises
+    the same message.  Returns each query's (level, slope) or message."""
+    with widened_queries(smoothing) as fast_widened, widened_queries(oracles) as dense_widened:
+        found = [_assert_point_matches_dense(float(q), x, y, h, strict=False) for q in queries]
+    np.testing.assert_array_equal(fast_widened, dense_widened)
+    return found
 
 
 def assert_stage_one_matches_dense(values):
@@ -407,11 +409,11 @@ def assert_stage_one_matches_dense(values):
     x, y = values[:-1], values[1:]
     pilot = _quartic_pilot(x)
     h1 = pilot(y)
-    m_dense, _ = assert_matches_dense(x, x, y, h1)
+    m_dense = assert_matches_dense(x, y, h1)
     u2 = (y - m_dense) ** 2
     h2 = pilot(u2)
-    h_dense, _ = assert_matches_dense(x, x, u2, h2)
-    h_fast, _ = windowed_fit(x, x, u2, h2)
+    h_dense = assert_matches_dense(x, u2, h2)
+    h_fast = windowed_fit(x, u2, h2)
     positive = h_dense > 0
     np.testing.assert_allclose(h_fast[positive], h_dense[positive], rtol=1e-9, atol=0.0)
 
@@ -435,27 +437,33 @@ def test_windowed_fit_matches_dense_with_heavy_ties():
     returns[rng.random(2001) < 0.3] = 0.0
     assert np.mean(returns == 0.0) > 0.3
     assert_stage_one_matches_dense(returns)
-    # The window of x=0.49 holds only tied zeros, near its edge, while its
-    # block is centred on the points above 1: degenerate, and widened, as in
-    # the dense fit, though the power sums leave rounding noise above the
-    # variance floor.
+    # The window of x=0.49 holds only tied zeros, near its edge: degenerate,
+    # and widened, as in the dense fit.
     x = np.concatenate([np.zeros(4000), rng.uniform(1.0, 1.5, size=4000)])
     y = rng.normal(size=x.size)
-    assert_matches_dense(np.array([0.49, 0.75, 0.95]), x, y, 0.5)
+    assert_queries_match_dense([0.49, 0.75, 0.95], x, y, 0.5)
     assert _assert_point_matches_dense(0.49, x, y, 0.5, strict=True) == (
         "degenerate local-linear fit at query x=0.49 (bandwidth h=0.5)"
     )
+    # Five tied sample points at 0.999, alone in their window, share a block
+    # with 4000 points in [0, 0.45], whose centre lies far from them.  Their
+    # power sums leave rounding noise above the variance floor, so only the
+    # tie test finds them degenerate and widens them, as the dense fit does.
+    x = np.concatenate([np.random.default_rng(7).uniform(0.0, 0.45, 4000), np.full(5, 0.999)])
+    assert_matches_dense(x, rng.normal(size=x.size), 0.5)
 
 
 def test_windowed_fit_matches_dense_next_to_a_dense_cluster():
-    # The queries from 0 to 2h = 1.2 form one block, whose window sums are
-    # differences of one prefix sum over the block.  A query right of 0.61
+    # The points from 0 to 2h = 1.2 form one block, whose window sums are
+    # differences of one prefix sum over the block.  A point right of 0.61
     # has a window of a few sparse points, and its sums cancel the prefix of
-    # the 4000 clustered terms, whose y near 1 sum to about 4000.
+    # the 4000 clustered terms, whose y near 1 sum to about 4000.  The extra
+    # queries between the sparse points go through the one-point fit.
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.uniform(0.0, 0.01, 4000), rng.uniform(0.5, 1.5, 12)])
     y = 1.0 + 0.1 * rng.normal(size=x.size)
-    assert_matches_dense(np.concatenate([x, np.linspace(0.6, 1.5, 46)]), x, y, 0.6)
+    assert_matches_dense(x, y, 0.6)
+    assert_queries_match_dense(np.linspace(0.6, 1.5, 46), x, y, 0.6)
 
 
 def test_windowed_fit_point_exactly_at_bandwidth():
@@ -465,14 +473,14 @@ def test_windowed_fit_point_exactly_at_bandwidth():
     y = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
     message = _assert_point_matches_dense(1.0, x, y, 0.5, strict=True)
     assert message == "degenerate local-linear fit at query x=1 (bandwidth h=0.5)"
-    assert_matches_dense(x, x, y, 0.5)
+    assert_matches_dense(x, y, 0.5)
     # On a decimal grid (x - q)/h lands one ulp on either side of 1.
     grid = np.arange(41) * 0.1
     rng = np.random.default_rng(12)
     values = rng.normal(size=grid.size)
     for h in (0.1, 0.2, 0.3, 0.7):
-        assert_matches_dense(grid, grid, values, h)
-        assert_matches_dense(grid + 0.05, grid, values, h)
+        assert_matches_dense(grid, values, h)
+        assert_queries_match_dense(grid + 0.05, grid, values, h)
 
 
 def test_support_is_the_rounded_window():
@@ -528,23 +536,22 @@ def test_windowed_fit_queries_outside_data():
     rng = np.random.default_rng(13)
     x = rng.uniform(-1.0, 1.0, size=300)
     y = np.sin(3.0 * x) + 0.1 * rng.normal(size=300)
-    assert_matches_dense(np.array([-1.3, -1.05, 1.05, 1.3, 0.0, -0.99]), x, y, 0.2)
+    assert_matches_dense(x, y, 0.2)
+    assert_queries_match_dense([-1.3, -1.05, 1.05, 1.3, 0.0, -0.99], x, y, 0.2)
     assert _assert_point_matches_dense(5.0, x, y, 0.2, strict=True) == (
         "degenerate local-linear fit at query x=5 (bandwidth h=0.2)"
     )
-    assert assert_matches_dense(np.array([0.0, np.nan]), x, y, 0.2) == (
+    assert assert_queries_match_dense([0.0, np.nan], x, y, 0.2)[1] == (
         "no distinct covariates around query x=nan"
     )
     # Far outside, the widened window extrapolates a line fit on 3 points
     # spread over 0.03 to a distance of 4.  Taken about the window's mean,
-    # the dense sums agree with the windowed ones to 2e-15 there and with
+    # the dense sums agree with the one-point fit's to 2e-15 there and with
     # exact rational arithmetic to 2.3e-13 (about the query they lost 1.5e-10).
-    far = np.array([-5.0, 5.0])
-    assert_matches_dense(far, x, y, 0.2)
-    levels, slopes = windowed_fit(far, x, y, 0.2)
-    for q, level, slope in zip(far, levels, slopes):
+    far = [-5.0, 5.0]
+    for q, found in zip(far, assert_queries_match_dense(far, x, y, 0.2)):
         exact = oracles.local_linear_exact(q, x, y, oracles._nn_bandwidth(q, x, 0.2))
-        np.testing.assert_allclose([level, slope], exact, rtol=1e-12)
+        np.testing.assert_allclose(found, exact, rtol=1e-12)
 
 
 @given(
@@ -572,7 +579,8 @@ def test_windowed_fit_matches_dense_property(grid, rand, k, scale, shift):
     h = scale * (k + 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert_matches_dense(queries, x, y, h)
+        assert_matches_dense(x, y, h)
+        assert_queries_match_dense(queries, x, y, h)
         for q in queries:
             _assert_point_matches_dense(q, x, y, h, strict=True)
 
@@ -619,32 +627,34 @@ def test_nn_bandwidth_equals_full_sort_oracle(n):
     )
 
 
-def test_ll_sorted_query_order_and_scalar_queries():
-    # Handing over the design's own stable order gives the same floats, and
-    # widens the same queries, as a call that sorts a shuffled copy of the
-    # queries itself.  A scalar query, which the one-point fit answers, gives
-    # a float that agrees with a length-1 array's to the dense tolerance.
+def test_evaluators_are_the_one_point_fit():
+    # fit_location_scale standardizes by the block path's levels, scattered
+    # back to sample order: its residuals are those of windowed_fit bit for
+    # bit.  m_hat and h_hat answer one query as a float, through _ll_point
+    # on the fit's sorted design, and agree with the block path at a sample
+    # point to the dense tolerance.
     rng = np.random.default_rng(14)
     fit = fit_location_scale(ReturnSeries(rng.standard_t(3, size=1001), kind="raw"))
-    order = np.argsort(fit.x, kind="stable")
-    xs, ys = fit.x[order], fit.y[order]
-    perm = rng.permutation(fit.x.size)
-
-    def fit_sorted(given):
-        return lambda q, x, y, h: smoothing._ll_sorted(q, xs, ys, h, given)
-
-    (levels, slopes), widened = _run(smoothing, fit_sorted(order), fit.x, None, None, fit.h1)
-    shuffled, shuffled_widened = _run(smoothing, fit_sorted(None), fit.x[perm], None, None, fit.h1)
+    with widened_queries(smoothing) as widened:
+        m_at_x = windowed_fit(fit.x, fit.y, fit.h1)
     assert widened  # heavy tails leave isolated covariates to widen
-    assert sorted(shuffled_widened) == sorted(widened)
-    assert shuffled[0].tobytes() == levels[perm].tobytes()
-    assert shuffled[1].tobytes() == slopes[perm].tobytes()
-    u2 = (fit.y - fit.m_hat(fit.x)) ** 2
-    for q in (float(fit.x[0]), float(np.median(fit.x)), float(fit.x.max()), float(fit.x.max()) + 1.0):
-        for curve, response in ((fit.m_hat, fit.y), (fit.h_hat, u2)):
-            scalar, array = curve(q), curve(np.array([q]))[0]
-            assert isinstance(scalar, float)
-            assert abs(scalar - array) <= 1e-10 * max(float(np.max(np.abs(response))), abs(array))
+    u = fit.y - m_at_x
+    h_at_x = windowed_fit(fit.x, u * u, fit.h2)
+    positive = h_at_x > smoothing.H_EPS * float(np.mean(u * u))
+    residuals = np.where(positive, u / np.sqrt(np.where(positive, h_at_x, 1.0)), 0.0)
+    assert fit.residuals.tobytes() == residuals.tobytes()
+    order = np.argsort(fit.x, kind="stable")
+    xs = fit.x[order]
+    inside = [int(order[0]), int(order[500]), int(order[-1])]
+    for curve, response, h, block in ((fit.m_hat, fit.y, fit.h1, m_at_x),
+                                      (fit.h_hat, u * u, fit.h2, h_at_x)):
+        for q in [float(fit.x[i]) for i in inside] + [float(xs[-1]) + 1.0]:
+            value = curve(q)
+            assert isinstance(value, float)
+            assert value == smoothing._ll_point(q, xs, response[order], h, strict=False)[0]
+        for i in inside:
+            scale = max(float(np.max(np.abs(response))), abs(block[i]))
+            assert abs(curve(float(fit.x[i])) - block[i]) <= 1e-10 * scale
 
 
 def _fit_or_message(fit):
