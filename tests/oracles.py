@@ -605,6 +605,33 @@ def weibull_loglik(a_par, b, d, cens):
     return ll
 
 
+def es_bootstrap_oracle(exceed_residuals, B_boot, seed):
+    """The one-shot draw `backtest.es_bootstrap_test` replaced: all B_boot
+    resamples as one (B_boot, nr) index matrix."""
+    res = np.asarray(exceed_residuals, dtype=float)
+    if res.size < 2:
+        return None
+    nr = res.size
+    mean = float(res.mean())
+    sd = float(res.std(ddof=1))
+    if sd == 0.0:
+        warnings.warn("zero-variance shortfall residuals", EstimationWarning)
+        return 1.0 / (B_boot + 1.0) if mean > 0 else 1.0
+    t_obs = mean / (sd / math.sqrt(nr))
+    centered = res - mean
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, nr, size=(B_boot, nr))
+    samples = centered[idx]
+    means = samples.mean(axis=1)
+    sds = samples.std(axis=1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = means / (sds / math.sqrt(nr))
+    degenerate = sds == 0.0
+    t_star[degenerate] = np.where(means[degenerate] > 0, math.inf, -math.inf)
+    t_star[degenerate & (means == 0.0)] = 0.0
+    return float((1.0 + np.sum(t_star >= t_obs)) / (B_boot + 1.0))
+
+
 def parse_date_oracle(text, row):
     """The strptime-first date parser that `ingest._parse_date` replaced."""
     for fmt in ("%Y-%m-%d", "%Y/%m/%d", "%m/%d/%Y"):

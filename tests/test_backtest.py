@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import stats
 
 from evtrisk.backtest import (
+    BOOTSTRAP_BUDGET,
     BacktestConfig,
     _chi2_sf,
     _durations,
@@ -21,7 +23,7 @@ from evtrisk.backtest import (
 )
 from evtrisk.errors import EstimationWarning, EvtriskError, InputError
 from evtrisk.ingest import ReturnSeries
-from oracles import weibull_loglik
+from oracles import es_bootstrap_oracle, weibull_loglik
 from test_mc import fail_first_call
 
 
@@ -55,6 +57,16 @@ def test_coverage_invariant_to_relabeling():
     _, p0 = coverage_test(viol, 0.95)
     _, p1 = coverage_test(np.sort(viol), 0.95)
     assert p0 == pytest.approx(p1)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_tests_reject_level_outside_unit_interval(a):
+    viol = np.zeros(200, dtype=bool)
+    viol[[20, 90, 150]] = True
+    with pytest.raises(InputError, match="outside"):
+        coverage_test(viol, a)
+    with pytest.raises(InputError, match="outside"):
+        duration_tests(viol, a)
 
 
 # ---------------------------------------------------------------- durations
@@ -202,6 +214,63 @@ def test_bootstrap_too_few_residuals():
     assert es_bootstrap_test(np.array([0.3]), B_boot=99, seed=0) is None
 
 
+def _boot_counts(nr):
+    # 1, 99 and 9999 resamples, and one below, at and one above the first
+    # block boundary.
+    rows = max(1, BOOTSTRAP_BUDGET // nr)
+    return sorted({1, 99, 9999, rows - 1, rows, rows + 1} - {0})
+
+
+@pytest.mark.parametrize(
+    "nr, B_boot",
+    [(nr, b) for nr in (2, 7, 8, 9, 26, 200, 1000) for b in _boot_counts(nr)],
+)
+def test_bootstrap_matches_one_shot_oracle_bitwise(nr, B_boot):
+    rng = np.random.default_rng(nr)
+    residuals = rng.standard_normal(nr) + 0.1
+    for seed in (0, 5):
+        assert es_bootstrap_test(residuals, B_boot, seed) == es_bootstrap_oracle(
+            residuals, B_boot, seed
+        )
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [[1.0, 2.0, 3.0], [-3.0, -2.0, -1.0], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0]],
+    ids=["positive-t", "negative-t", "eight-tied"],
+)
+@pytest.mark.parametrize("B_boot", [99, 9999, BOOTSTRAP_BUDGET // 3 + 1])
+def test_bootstrap_degenerate_resamples_match_oracle(residuals, B_boot):
+    # Some resamples repeat one centred value: zero sd with a positive mean,
+    # and with a zero mean where that value is the sample mean.
+    res = np.array(residuals)
+    idx = np.random.default_rng(2).integers(0, res.size, size=(B_boot, res.size))
+    samples = (res - res.mean())[idx]
+    degenerate = samples.std(axis=1, ddof=1) == 0.0
+    assert np.any(degenerate & (samples.mean(axis=1) > 0))
+    if res.size == 3:
+        assert np.any(degenerate & (samples.mean(axis=1) == 0.0))
+    assert es_bootstrap_test(res, B_boot, 2) == es_bootstrap_oracle(res, B_boot, 2)
+
+
+def test_bootstrap_memory_bounded():
+    residuals = np.random.default_rng(4).standard_normal(1000)
+    tracemalloc.start()
+    try:
+        es_bootstrap_test(residuals, B_boot=9999, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The one-shot draw traced about 240 MB at this size; a block about 1.6 MB.
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("B_boot", [0, -3, 2.5, True, "99", None])
+def test_bootstrap_count_must_be_positive_integer(B_boot):
+    with pytest.raises(InputError, match="B_boot"):
+        es_bootstrap_test(np.array([0.5, -0.2, 1.1]), B_boot=B_boot, seed=0)
+
+
 # ---------------------------------------------------------------- rolling
 
 
@@ -213,6 +282,17 @@ def synthetic_series(m, seed=0, v=6):
 def test_backtest_config_validation():
     with pytest.raises(InputError):
         BacktestConfig(m=100, n=100)
+    for bad in (
+        dict(m=500.0, n=400),
+        dict(m=500, n=400.0),
+        dict(m=500, n=400, N=50.0),
+        dict(m=500, n=400, B_boot=99.5),
+        dict(m=500, n=400, B_boot=True),
+        dict(m=500, n=400, N=True),
+        dict(m=500, n=400, seed=1.5),
+    ):
+        with pytest.raises(InputError, match="must be an integer"):
+            BacktestConfig(**bad)
     cfg = BacktestConfig(m=1500, n=1000)
     assert cfg.tail_count(999) == 234
 
