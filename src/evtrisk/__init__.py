@@ -36,7 +36,7 @@ from .gpd import (
     rho_hat,
 )
 from .ingest import PriceSeries, ReturnSeries, load_prices, load_returns, to_returns
-from .mc import McDesign, McResult, run_experiment, simulate_dgp, true_risk
+from .mc import McDesign, McResult, run_experiment, true_risk
 from .risk import (
     RiskEstimate,
     assemble,

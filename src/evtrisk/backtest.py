@@ -30,7 +30,7 @@ from .gpd import fit_tail
 from .ingest import ReturnSeries
 from .risk import assemble
 from .smoothing import fit_location_scale
-from .tail import choose_N, extract_tail
+from .tail import check_level, check_levels, choose_N, extract_tail
 
 WEIBULL_B_RANGE = (1e-2, 10.0)
 # Index elements per block of bootstrap resamples.  A block holds its
@@ -64,10 +64,7 @@ class BacktestConfig:
                 raise InputError(f"backtest field {name} must be an integer, got {value!r}")
         if self.n >= self.m:
             raise InputError("window length n must be below the total length m")
-        for a in self.a_levels:
-            _check_level(a)
-            if self.a_levels.count(a) > 1:
-                raise InputError(f"level {a} given more than once")
+        check_levels(self.a_levels)
         if self.N is not None and not 0 < self.N < self.n - 1:
             raise InputError(f"tail count N={self.N} must satisfy 0 < N < n - 1={self.n - 1}")
         if self.B_boot < 1:
@@ -174,14 +171,9 @@ def _chi2_sf(df: int, x: float) -> float:
     return math.erfc(math.sqrt(0.5 * x)) if df == 1 else math.exp(-0.5 * x)
 
 
-def _check_level(a: float) -> None:
-    if not 0.0 < a < 1.0:
-        raise InputError(f"level {a} outside (0,1)")
-
-
 def coverage_test(violations, a: float):
     """Two-sided normal test of the violation count against (m-n)(1-a)."""
-    _check_level(a)
+    check_level(a)
     viol = np.asarray(violations, dtype=bool)
     if viol.size == 0:
         raise InputError("empty violation sequence")
@@ -268,7 +260,7 @@ def duration_tests(violations, a: float):
     1/(1-a)).  First and last durations are censored.  Returns (None, None)
     when fewer than two violations make the likelihood unusable.
     """
-    _check_level(a)
+    check_level(a)
     viol = np.asarray(violations, dtype=bool)
     if int(viol.sum()) < 2:
         return None, None

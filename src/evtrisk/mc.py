@@ -33,7 +33,7 @@ from .risk import assemble
 # Kept importable: perfbench/spans.py patches evtrisk.mc.estimate_at by name.
 from .risk import estimate_at  # noqa: F401
 from .smoothing import fit_location_scale
-from .tail import choose_N, extract_tail, extract_tail_empirical
+from .tail import check_levels, choose_N, extract_tail, extract_tail_empirical
 
 BURN_IN = 1000
 H2_FLOOR = 1e-8
@@ -86,9 +86,7 @@ class McDesign:
                 f"Student-t quantile is verified for v = 3 to {T_V_MAX}")
         if self.variant not in ("h1", "h2"):
             raise InputError(f"unknown variance variant {self.variant!r}")
-        for a in self.a_levels:
-            if not 0.0 < a < 1.0:
-                raise InputError(f"level {a} outside (0,1)")
+        check_levels(self.a_levels)
         choose_N(self.n, self.c)  # rejects a bad schedule constant before any replication
 
     @property
@@ -216,7 +214,7 @@ class SimPath:
     h_next: float
 
 
-def _simulate(design: McDesign, rep: int = 0) -> SimPath:
+def _simulate(design: McDesign, rep: int) -> SimPath:
     """One path of the design's recursion, written out per variance function
     with local names.  math.sin gives np.sin's values; np.exp is kept
     because math.exp differs from it in the last bit for about 5% of
@@ -244,12 +242,6 @@ def _simulate(design: McDesign, rep: int = 0) -> SimPath:
     return SimPath(
         y=np.array(y[BURN_IN:-1]), eps=eps[BURN_IN:], h=np.array(h[BURN_IN:-1]), h_next=h[-1]
     )
-
-
-# Kept public: scripts/run_synthetic_backtest.py simulates its series with it.
-def simulate_dgp(design: McDesign) -> ReturnSeries:
-    """Generate the design's first replication sample (burn-in discarded)."""
-    return ReturnSeries(_simulate(design).y, kind="raw")
 
 
 def true_risk(design: McDesign, x: float, a: float, h_next: float):

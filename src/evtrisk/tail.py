@@ -1,5 +1,6 @@
 """Bridge between the stages: smoothed residual CDF, threshold quantile,
-exceedance extraction, and the tail-count schedule N(n).
+exceedance extraction, the tail-count schedule N(n), and the one check of
+the risk levels a that MC designs, backtests and their tests take.
 
 The threshold quantile is a safeguarded Newton iteration on the smoothed
 CDF with the kernel density as slope (see smoothed_quantile)."""
@@ -7,6 +8,7 @@ CDF with the kernel density as slope (see smoothed_quantile)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,25 @@ def check_schedule_constant(c: float) -> None:
     """Reject a tail schedule constant that is not finite and positive."""
     if not (math.isfinite(c) and c > 0):
         raise InputError(f"tail schedule constant c must be finite and positive, got {c}")
+
+
+def check_level(a) -> None:
+    """Reject a level that is not a real number in (0, 1); a bool is not one."""
+    if isinstance(a, bool) or not isinstance(a, numbers.Real):
+        raise InputError(f"level {a!r} must be a real number in (0,1)")
+    if not 0.0 < a < 1.0:
+        raise InputError(f"level {a} outside (0,1)")
+
+
+def check_levels(levels) -> None:
+    """Reject a level set that is not a tuple or list of distinct levels,
+    each checked by check_level."""
+    if not isinstance(levels, (tuple, list)):
+        raise InputError(f"levels must be a tuple or list, got {levels!r}")
+    for a in levels:
+        check_level(a)
+        if levels.count(a) > 1:
+            raise InputError(f"level {a} given more than once")
 
 
 def choose_N(n: int, c: float = 0.7) -> int:

@@ -23,8 +23,9 @@ from evtrisk.backtest import (
 )
 from evtrisk.errors import EstimationWarning, EvtriskError, InputError
 from evtrisk.ingest import ReturnSeries
+from evtrisk.mc import McDesign, _simulate
 from oracles import es_bootstrap_oracle, weibull_loglik
-from test_mc import fail_first_call
+from test_mc import BAD_LEVELS, fail_first_call
 
 
 # ---------------------------------------------------------------- coverage
@@ -66,6 +67,16 @@ def test_tests_reject_level_outside_unit_interval(a):
     with pytest.raises(InputError, match="outside"):
         coverage_test(viol, a)
     with pytest.raises(InputError, match="outside"):
+        duration_tests(viol, a)
+
+
+@pytest.mark.parametrize("a", ["0.95", None])
+def test_tests_reject_non_number_level(a):
+    viol = np.zeros(200, dtype=bool)
+    viol[[20, 90, 150]] = True
+    with pytest.raises(InputError, match=r"must be a real number in \(0,1\)$"):
+        coverage_test(viol, a)
+    with pytest.raises(InputError, match=r"must be a real number in \(0,1\)$"):
         duration_tests(viol, a)
 
 
@@ -293,6 +304,9 @@ def test_backtest_config_validation():
     ):
         with pytest.raises(InputError, match="must be an integer"):
             BacktestConfig(**bad)
+    for levels, message in BAD_LEVELS:
+        with pytest.raises(InputError, match=message):
+            BacktestConfig(m=500, n=400, a_levels=levels)
     cfg = BacktestConfig(m=1500, n=1000)
     assert cfg.tail_count(999) == 234
 
@@ -310,6 +324,19 @@ def test_rolling_forecast_counts_and_violation_rate():
     assert 0.0 <= level.coverage_p <= 1.0
     if level.es_p is not None:
         assert 0.0 <= level.es_p <= 1.0
+
+
+def test_backtest_on_simulated_design_path():
+    # A path of the MC recursion (t(6) innovations), rolled through the
+    # whole backtest: 100 one-step forecasts from windows of 400.
+    path = _simulate(McDesign(n=500, v=6, reps=1, seed=0), 0)
+    report = run_backtest(ReturnSeries(path.y, kind="raw"),
+                          BacktestConfig(m=500, n=400), threads=1)
+    assert (report.n_forecasts, report.n_failed_windows) == (100, 0)
+    assert {a: lv.violations for a, lv in report.levels.items()} == {0.95: 6, 0.99: 0, 0.995: 0}
+    for lv in report.levels.values():
+        for p in (lv.coverage_p, lv.t_ind_p, lv.t_cc_p, lv.es_p):
+            assert p is None or 0.0 <= p <= 1.0
 
 
 def test_rolling_constant_series_fails():

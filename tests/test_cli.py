@@ -540,6 +540,7 @@ def test_thread_range_errors_name_their_source(monkeypatch):
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "thetaa": 0.1}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "rho_c": 0.25}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"a_levels": 0.95}', None),
+    (["mc", "--design", "{tmp}/bad.json"], '{"a_levels": [0.99, 0.99], "reps": 4}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": "1000"}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v": 4.5}', None),
     (["mc", "--design", "{tmp}/bad.json"], '{"n": 400, "v": 1000}', None),
@@ -558,7 +559,7 @@ def test_thread_range_errors_name_their_source(monkeypatch):
     (["estimate", "--prices", "{tmp}/bad.csv"],
      b"date,price\n2000-01-03,100\n2000-01-04,10\xe9\n", None),
 ], ids=["missing-returns", "missing-design", "unknown-field", "rho_c-field",
-        "scalar-levels", "string-value", "non-integer-v", "large-v", "string-theta", "non-integer-n",
+        "scalar-levels", "repeated-levels", "string-value", "non-integer-v", "large-v", "string-theta", "non-integer-n",
         "non-integer-reps", "non-integer-seed", "theta-above-one", "negative-theta", "negative-seed",
         "not-object", "truncated", "env-threads",
         "mixed-utc-offsets", "not-utf8"])

@@ -24,6 +24,15 @@ from evtrisk.mc import (
 )
 from oracles import mean_recursion, simulate_oracle, variance_fn
 
+# Level sets McDesign and BacktestConfig reject, with the message of each.
+BAD_LEVELS = (
+    (("0.95",), r"^level '0\.95' must be a real number in \(0,1\)$"),
+    ((0.95, None), r"^level None must be a real number in \(0,1\)$"),
+    ((0.95, True), r"^level True must be a real number in \(0,1\)$"),
+    (0.95, r"^levels must be a tuple or list, got 0\.95$"),
+    ((0.99, 0.99), r"^level 0\.99 given more than once$"),
+)
+
 DESIGN = McDesign(n=400, variant="h1", theta=0.0, v=6, reps=6, seed=5,
                   a_levels=(0.95,))
 
@@ -54,6 +63,9 @@ def test_design_validation():
         McDesign(variant="h3")
     with pytest.raises(InputError):
         McDesign(a_levels=(1.2,))
+    for levels, message in BAD_LEVELS:
+        with pytest.raises(InputError, match=message):
+            McDesign(a_levels=levels)
     assert McDesign(v=3).k0 == pytest.approx(-1 / 3)
 
 
